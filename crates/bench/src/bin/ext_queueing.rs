@@ -3,12 +3,15 @@
 //! Bernoulli arrivals per link per slot; the scheduler serves the
 //! backlog every slot; the Rayleigh channel decides delivery. Sweeping
 //! the offered load locates each algorithm's saturation point — the
-//! queueing-theoretic meaning of "throughput".
+//! queueing-theoretic meaning of "throughput". Each row is one
+//! zero-churn [`stability_frontier`] sweep of the online engine (no
+//! link arrivals, links never depart).
 
 use fading_core::algo::{Dls, GreedyRate, Ldp, Rle};
 use fading_core::{Problem, Scheduler};
 use fading_net::{TopologyGenerator, UniformGenerator};
-use fading_sim::{simulate_queueing_with_policy, QueueConfig, ServicePolicy};
+use fading_sim::ServicePolicy::{MaxWeight, PlainRates};
+use fading_sim::{stability_frontier, ChurnConfig, ServicePolicy};
 
 fn main() {
     let cli = fading_bench::Cli::parse();
@@ -16,11 +19,13 @@ fn main() {
     let slots: u64 = if quick { 300 } else { 1500 };
     let n = 150;
     let loads = [0.01, 0.03, 0.05, 0.10, 0.20];
-    let algos: Vec<Box<dyn Scheduler>> = vec![
-        Box::new(Ldp::new()),
-        Box::new(Rle::new()),
-        Box::new(Dls::new()),
-        Box::new(GreedyRate),
+    let rows: Vec<(&str, Box<dyn Scheduler>, ServicePolicy)> = vec![
+        ("LDP", Box::new(Ldp::new()), PlainRates),
+        ("RLE", Box::new(Rle::new()), PlainRates),
+        ("DLS", Box::new(Dls::new()), PlainRates),
+        ("GreedyRate", Box::new(GreedyRate), PlainRates),
+        // Backpressure variant of the strongest scheduler.
+        ("Greedy+MaxW", Box::new(GreedyRate), MaxWeight),
     ];
     println!("# Extension E9 — queueing: mean backlog (packets) vs offered load");
     println!("# N = {n} links, {slots} slots; offered load = N · arrival_prob packets/slot");
@@ -30,40 +35,22 @@ fn main() {
         print!(" {:>12}", format!("p={l}"));
     }
     println!();
-    let p = Problem::paper(UniformGenerator::paper(n).generate(17), 3.0);
-    for algo in &algos {
-        print!("{:<12}", algo.name());
-        for &load in &loads {
-            let r = simulate_queueing_with_policy(
-                &p,
-                algo.as_ref(),
-                &QueueConfig {
-                    arrival_prob: load,
-                    slots,
-                    seed: 5,
-                },
-                ServicePolicy::PlainRates,
-            );
+    let geometry = UniformGenerator::paper(n);
+    let p = Problem::paper(geometry.generate(17), 3.0);
+    let base = ChurnConfig {
+        slots,
+        link_arrival_rate: 0.0,
+        mean_lifetime: f64::INFINITY,
+        packet_prob: 0.0, // overridden per load
+        seed: 5,
+    };
+    for (name, algo, policy) in &rows {
+        print!("{name:<12}");
+        for (_, r) in stability_frontier(&p, geometry, base, algo.as_ref(), *policy, &loads) {
             print!(" {:>12.1}", r.mean_backlog);
         }
         println!();
     }
-    // Backpressure variant of the strongest scheduler.
-    print!("{:<12}", "Greedy+MaxW");
-    for &load in &loads {
-        let r = simulate_queueing_with_policy(
-            &p,
-            &GreedyRate,
-            &QueueConfig {
-                arrival_prob: load,
-                slots,
-                seed: 5,
-            },
-            ServicePolicy::MaxWeight,
-        );
-        print!(" {:>12.1}", r.mean_backlog);
-    }
-    println!();
     println!();
     println!("A backlog that grows with the horizon marks an unstable load; the");
     println!("feasibility-aware greedy sustains several times the load of the");

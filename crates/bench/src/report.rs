@@ -1,13 +1,11 @@
 //! Programmatic bench runner behind `fading bench-report`.
 //!
-//! The vendored criterion is a stub without statistics or persistence,
-//! so the ledger does not scrape `target/criterion` — it re-exposes
-//! the same workloads the criterion suites (`benches/algorithms.rs`,
-//! `benches/substrate.rs`) drive as programmatic entry points, times
-//! them with a median-of-samples harness, and adds the probes the
-//! ad-hoc gates used to hard-code: warm/fresh ratios and ctx churn
-//! (from `tests/engine_gate.rs`) and steady-state allocation counts
-//! (from `crates/core/tests/zero_alloc.rs`, via
+//! This is the repo's one bench harness: it drives the scheduling,
+//! substrate, mutation and engine workloads as programmatic entry
+//! points, times them with a median-of-samples harness, and adds the
+//! probes the ad-hoc gates used to hard-code: warm/fresh ratios and
+//! ctx churn (from `tests/engine_gate.rs`) and steady-state allocation
+//! counts (from `crates/core/tests/zero_alloc.rs`, via
 //! [`crate::alloc::CountingAlloc`] when the binary installs it).
 //!
 //! `--quick` changes *sampling only* (fewer samples per bench, same
@@ -221,9 +219,7 @@ pub fn fingerprint() -> MachineFingerprint {
     MachineFingerprint::current()
 }
 
-/// Fresh and warm scheduling benches on the paper workload — the
-/// programmatic twin of the criterion `schedule` / `ldp_schedule` /
-/// `rle_schedule` groups.
+/// Fresh and warm scheduling benches on the paper workload.
 fn schedule_benches(rec: &mut Recorder) {
     const PANEL: [&str; 3] = ["ldp", "rle", "greedy"];
     for &n in &FAMILY_SIZES {
@@ -266,14 +262,13 @@ fn schedule_benches(rec: &mut Recorder) {
     }
 }
 
-/// Substrate hot paths — the programmatic twin of the criterion
-/// `interference_build` / `interference_row_sum` /
-/// `residual_construction` / `queueing` groups (sizes trimmed to keep
-/// a full report under the CI wall guard).
+/// Substrate hot paths: interference build, row sums, residual
+/// construction, one slot realization, and a short static-queueing run
+/// (sizes trimmed to keep a full report under the CI wall guard).
 fn substrate_benches(rec: &mut Recorder) {
     let params = fading_channel::ChannelParams::paper_defaults();
-    // Paper-density instance scaled to `n` links, as in the criterion
-    // substrate suite: side grows as √(n/300).
+    // Paper-density instance scaled to `n` links: side grows as
+    // √(n/300).
     let scaled = |n: usize| UniformGenerator {
         side: 500.0 * (n as f64 / 300.0).sqrt(),
         n,
@@ -405,17 +400,19 @@ fn substrate_benches(rec: &mut Recorder) {
     }
 
     if rec.wants("queueing/greedy/100x50") {
-        let problem = Problem::paper(UniformGenerator::paper(100).generate(8), 3.0);
+        // Static queueing: the online engine's zero-churn case.
+        let geometry = UniformGenerator::paper(100);
+        let problem = Problem::paper(geometry.generate(8), 3.0);
+        let cfg = fading_sim::ChurnConfig {
+            slots: 50,
+            link_arrival_rate: 0.0,
+            mean_lifetime: f64::INFINITY,
+            packet_prob: 0.05,
+            seed: 1,
+        };
         rec.time("queueing/greedy/100x50", || {
-            black_box(fading_sim::simulate_queueing(
-                &problem,
-                &GreedyRate,
-                &fading_sim::QueueConfig {
-                    arrival_prob: 0.05,
-                    slots: 50,
-                    seed: 1,
-                },
-            ));
+            let mut engine = fading_sim::ChurnEngine::new(problem.clone(), geometry, cfg);
+            black_box(engine.run(&GreedyRate, fading_sim::ServicePolicy::PlainRates));
         });
     }
 }
@@ -901,39 +898,48 @@ fn smoke_large_n(rec: &mut Recorder) -> Result<(), String> {
     Ok(())
 }
 
-/// The restrict-based queueing loop at n = 2000 × 200 slots under
-/// MaxWeight (see `docs/residual.md`), with packet conservation.
+/// Static queueing at n = 2000 × 200 slots under MaxWeight: the online
+/// engine's zero-churn case (see `docs/online.md`), with packet
+/// conservation and an unchanged population.
 fn smoke_queueing(rec: &mut Recorder) -> Result<(), String> {
     if !rec.wants("smoke.queueing.wall_s") {
         return Ok(());
     }
     let n = 2000usize;
+    let gen = density_scaled(n);
     let problem = Problem::builder(
-        density_scaled(n).generate(20170715),
+        gen.generate(20170715),
         fading_channel::ChannelParams::paper_defaults(),
     )
     .backend(BackendChoice::Dense)
     .build();
-    let cfg = fading_sim::QueueConfig {
-        arrival_prob: 0.2,
+    let cfg = fading_sim::ChurnConfig {
         slots: 200,
+        link_arrival_rate: 0.0,
+        mean_lifetime: f64::INFINITY,
+        packet_prob: 0.2,
         seed: 3,
     };
     let started = Instant::now();
-    let result = fading_sim::simulate_queueing_with_policy(
-        &problem,
-        &GreedyRate,
-        &cfg,
-        fading_sim::ServicePolicy::MaxWeight,
-    );
+    let result = fading_sim::ChurnEngine::new(problem, gen, cfg)
+        .run(&GreedyRate, fading_sim::ServicePolicy::MaxWeight);
     let wall_s = started.elapsed().as_secs_f64();
-    if result.delivered == 0 {
+    if result.packets_delivered == 0 {
         return Err("queueing smoke: nothing delivered in 200 slots at n = 2000".into());
     }
-    if result.arrived != result.delivered + result.final_backlog {
+    if !result.conserves_packets() {
         return Err(format!(
-            "queueing smoke: packet conservation violated ({} arrived, {} delivered, {} queued)",
-            result.arrived, result.delivered, result.final_backlog
+            "queueing smoke: packet conservation violated ({} arrived != {} delivered + {} abandoned + {} queued)",
+            result.packets_arrived,
+            result.packets_delivered,
+            result.packets_abandoned,
+            result.final_backlog
+        ));
+    }
+    if result.links_arrived != 0 || result.links_departed != 0 || result.final_population != n {
+        return Err(format!(
+            "queueing smoke: the zero-churn population moved ({} arrived, {} departed, {} live of {n})",
+            result.links_arrived, result.links_departed, result.final_population
         ));
     }
     rec.derived("smoke.queueing.wall_s", MetricKind::Seconds, wall_s);

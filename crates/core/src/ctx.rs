@@ -5,7 +5,7 @@
 //! candidate order, alive bitmaps, per-receiver debit ledgers, a
 //! spatial index over senders, grid cells and color buckets. Building
 //! those from scratch per call is pure overhead when the Monte-Carlo
-//! runner, queueing simulator, and multislot loop invoke the scheduler
+//! runner, online engine, and multislot loop invoke the scheduler
 //! thousands of times on near-identical instances. A [`SchedCtx`] owns
 //! all of it with buffer reuse: after one warm-up call at a given size,
 //! steady-state [`crate::Scheduler::schedule_in`] calls for RLE and LDP

@@ -110,7 +110,7 @@ pub enum TraceEvent {
         color: u32,
         utility: f64,
     },
-    /// A multi-slot / queueing driver starts slot `slot` with
+    /// A multi-slot driver or the online engine starts slot `slot` with
     /// `backlog` links still to serve.
     SlotStart { slot: u64, backlog: u32 },
     /// Slot `slot` committed `links` (parent-numbered ids).

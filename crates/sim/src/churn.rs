@@ -1,23 +1,29 @@
-//! The online scheduling engine: a slot loop under link churn.
+//! The online scheduling engine: the slot loop under link churn.
 //!
-//! The queueing simulator ([`crate::queueing`]) serves packets on a
-//! *fixed* link population; real networks see links join and leave
-//! ("millions of users joining and leaving", ROADMAP north star). A
-//! [`ChurnEngine`] runs that regime on a live, incrementally mutated
-//! [`Problem`]: Poisson link arrivals, exponential link lifetimes,
-//! Bernoulli packet arrivals on the live links, per-slot scheduling of
-//! the backlogged sub-instance under a [`ServicePolicy`], and Rayleigh
-//! channel realizations deciding delivery — all seeded and
-//! deterministic. Each slot's topology changes are one transaction: the
-//! engine queues departures and arrivals into a [`MutationBatch`] and
-//! commits it with a single [`Problem::apply`] (one envelope
-//! reconciliation, one spatial-index patch pass — never a rebuild),
-//! with a [`LinkIdMap`] keeping stable external handles across the
-//! dense renumbering. The backlog-active sub-instance is cached and
-//! patched incrementally across slots ([`SubCache`] internally) instead
-//! of being restricted from scratch. See `docs/online.md`.
+//! The paper schedules one saturated slot; a deployed network runs the
+//! scheduler every slot over whatever is *backlogged*, while links join
+//! and leave ("millions of users joining and leaving", ROADMAP north
+//! star). A [`ChurnEngine`] runs that regime on a live, incrementally
+//! mutated [`Problem`]: Poisson link arrivals, exponential link
+//! lifetimes, Bernoulli packet arrivals on the live links, per-slot
+//! scheduling of the backlogged sub-instance under a [`ServicePolicy`],
+//! and Rayleigh channel realizations deciding delivery — all seeded and
+//! deterministic. Static queueing on a fixed population is the
+//! zero-churn case: `link_arrival_rate: 0.0` and
+//! `mean_lifetime: f64::INFINITY` (the E9 stability regions run it
+//! through [`stability_frontier`]).
+//!
+//! Each slot's topology changes are one transaction: the engine queues
+//! departures and arrivals into a [`MutationBatch`] and commits it with
+//! a single [`Problem::apply`] (one envelope reconciliation, one
+//! spatial-index patch pass — never a rebuild), with a [`LinkIdMap`]
+//! keeping stable external handles across the dense renumbering.
+//! Per-link state lives in a dense vector permuted in lockstep with the
+//! problem, so the per-slot walks never hash. The backlog-active
+//! sub-instance is cached and patched incrementally across slots
+//! (`SubCache` internally) instead of being restricted from scratch.
+//! See `docs/online.md`.
 
-use crate::queueing::ServicePolicy;
 use crate::slot::simulate_slot;
 use fading_core::{
     LinkIdMap, LinkSpec, MutationBatch, MutationError, Problem, SchedCtx, Scheduler,
@@ -28,10 +34,22 @@ use fading_obs::{FlightConfig, FlightRecorder, Histogram, SlotRecord, SlotSeries
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
+
+/// How per-slot service decisions weigh the backlog.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum ServicePolicy {
+    /// Schedule the backlogged sub-instance with the links' own rates
+    /// (the paper's objective applied per slot).
+    PlainRates,
+    /// MaxWeight / backpressure: rate of each backlogged link is its
+    /// queue length, so the scheduler chases the longest queues — the
+    /// classic throughput-optimal policy of Tassiulas–Ephremides.
+    MaxWeight,
+}
 
 /// Configuration of a churn run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -40,7 +58,8 @@ pub struct ChurnConfig {
     pub slots: u64,
     /// Mean new links per slot (Poisson).
     pub link_arrival_rate: f64,
-    /// Mean link lifetime in slots (exponential, ≥ 1 slot realized).
+    /// Mean link lifetime in slots (exponential, ≥ 1 slot realized);
+    /// `f64::INFINITY` means links never depart.
     pub mean_lifetime: f64,
     /// Per-live-link probability of one packet arrival per slot.
     pub packet_prob: f64,
@@ -52,7 +71,11 @@ impl ChurnConfig {
     /// Offered steady-state population `initial + λ·E[lifetime]`-ish
     /// sanity check helper: the equilibrium population of the M/G/∞
     /// arrival process alone (ignores the seed population draining).
+    /// Zero when no links arrive, even under an infinite lifetime.
     pub fn equilibrium_population(&self) -> f64 {
+        if self.link_arrival_rate == 0.0 {
+            return 0.0;
+        }
         self.link_arrival_rate * self.mean_lifetime
     }
 }
@@ -139,13 +162,16 @@ impl ChurnResult {
     }
 }
 
-/// Per-link engine state, keyed by the link's stable external handle.
+/// Per-link engine state, indexed by dense id: the engine permutes its
+/// state vector exactly as [`Problem::apply`] permutes the links.
 #[derive(Debug)]
 struct LinkState {
     /// FIFO of packet arrival slots.
     queue: VecDeque<u64>,
-    /// First slot at which the link is gone.
+    /// First slot at which the link is gone (`u64::MAX`: never).
     departs_at: u64,
+    /// Whether the link is a member of the cached sub-problem.
+    in_sub: bool,
 }
 
 /// Phase indices for the per-slot attribution (see [`PhaseTimer`]).
@@ -323,8 +349,7 @@ impl ChurnTelemetry {
 
 /// Declarative telemetry selection for [`ChurnEngine::arm`]: choose a
 /// slot series, a flight recorder, both, or neither (bare phase
-/// attribution) and arm the whole bundle in one call. Replaces the
-/// `arm_series` / `arm_flight` / `arm_phases` trio.
+/// attribution) and arm the whole bundle in one call.
 ///
 /// ```ignore
 /// engine.arm(
@@ -374,23 +399,32 @@ impl TelemetryConfig {
 /// the diff exceeds half the membership). Soundness: a member link's
 /// geometry is immutable while it lives, engine external ids are never
 /// reused, and a restriction depends only on its members — so equality
-/// of the member-ext set means the cached sub-problem is still exact,
+/// of the member set means the cached sub-problem is still exact,
 /// regardless of what other links churned (the cache is stamp-keyed
 /// only to observe *whether* the main problem moved, not to rebuild).
+///
+/// Membership is dense on both sides: `members` maps sub-dense ids to
+/// engine externals (permuted exactly like the sub's links), and each
+/// live link's [`LinkState::in_sub`] flag answers the inverse question.
+/// `dense` caches each member's live dense id; it only needs refreshing
+/// when a commit moved the main problem.
 #[derive(Debug)]
 struct SubCache {
     /// The restricted sub-instance, patched in place.
     sub: Problem,
-    /// Mirror of the sub's dense renumbering (sub-external ↔ sub-dense).
-    map: LinkIdMap,
-    /// Sub-external id → engine-external id.
-    main_of: HashMap<u64, u64>,
-    /// Engine-external id → sub-external id (the membership set).
-    sub_of: HashMap<u64, u64>,
+    /// Mirror of the sub's dense renumbering (sub-external ↔ sub-dense),
+    /// built by the first patch: a fresh restriction numbers both alike.
+    map: Option<LinkIdMap>,
+    /// Engine-external id of each member, indexed by sub-dense id.
+    members: Vec<u64>,
+    /// Live dense id of each member, valid at main stamp `synced`.
+    dense: Vec<LinkId>,
     /// Reusable per-slot patch transaction.
     batch: MutationBatch,
-    /// Engine-external ids of the batch's queued adds, in slot order.
-    pending: Vec<u64>,
+    /// Sub-dense ids of the members leaving the sub, ascending.
+    dropped: Vec<u32>,
+    /// Live dense ids of the links entering the sub, in dense order.
+    pending: Vec<LinkId>,
     /// Main-problem stamp the cache was last synced against.
     synced: u64,
 }
@@ -405,7 +439,10 @@ struct SubCache {
 pub struct ChurnEngine {
     problem: Problem,
     map: LinkIdMap,
-    states: HashMap<u64, LinkState>,
+    /// Per-link state, indexed by the live problem's dense ids.
+    states: Vec<LinkState>,
+    /// Total packets queued over all live links.
+    backlog: u64,
     geometry: UniformGenerator,
     cfg: ChurnConfig,
     /// Topology stream: arrival counts, positions, lifetimes.
@@ -417,9 +454,10 @@ pub struct ChurnEngine {
     slot: u64,
     // scratch buffers reused across slots
     batch: MutationBatch,
+    /// Dense ids of this slot's departures, ascending.
+    departing: Vec<u32>,
     arrival_departs: Vec<u64>,
     backlogged: Vec<LinkId>,
-    desired: HashSet<u64>,
     rates: Vec<f64>,
     /// Cached backlog-active sub-problem (see [`SubCache`]).
     sub: Option<SubCache>,
@@ -460,22 +498,20 @@ impl ChurnEngine {
         let mut churn_rng = seeded_rng(split_seed(cfg.seed, 0));
         let packet_rng = seeded_rng(split_seed(cfg.seed, 1));
         let map = LinkIdMap::with_len(n0);
-        let mut states = HashMap::with_capacity(n0 * 2);
-        for ext in 0..n0 as u64 {
-            states.insert(
-                ext,
-                LinkState {
-                    queue: VecDeque::new(),
-                    departs_at: exponential_departure(0, cfg.mean_lifetime, &mut churn_rng),
-                },
-            );
-        }
+        let states: Vec<LinkState> = (0..n0)
+            .map(|_| LinkState {
+                queue: VecDeque::new(),
+                departs_at: exponential_departure(0, cfg.mean_lifetime, &mut churn_rng),
+                in_sub: false,
+            })
+            .collect();
         let mut ctx = SchedCtx::new();
         ctx.prepare(n0);
         Self {
             problem,
             map,
             states,
+            backlog: 0,
             geometry,
             cfg,
             churn_rng,
@@ -483,9 +519,9 @@ impl ChurnEngine {
             ctx,
             slot: 0,
             batch: MutationBatch::new(),
+            departing: Vec::new(),
             arrival_departs: Vec::new(),
             backlogged: Vec::new(),
-            desired: HashSet::new(),
             rates: Vec::new(),
             sub: None,
             telemetry: None,
@@ -518,25 +554,6 @@ impl ChurnEngine {
                 postmortem: None,
             });
         }
-    }
-
-    /// Arms the slot-series recorder.
-    #[deprecated(note = "use `arm(TelemetryConfig::new().series(series))`")]
-    pub fn arm_series(&mut self, series: SlotSeries) {
-        self.arm(TelemetryConfig::new().series(series));
-    }
-
-    /// Arms the flight recorder.
-    #[deprecated(note = "use `arm(TelemetryConfig::new().flight(cfg, out_dir))`")]
-    pub fn arm_flight(&mut self, cfg: FlightConfig, out_dir: Option<PathBuf>) {
-        self.arm(TelemetryConfig::new().flight(cfg, out_dir));
-    }
-
-    /// Arms the timed path (phase attribution + histograms) without a
-    /// series or flight recorder — the minimal telemetry footprint.
-    #[deprecated(note = "use `arm(TelemetryConfig::new())`")]
-    pub fn arm_phases(&mut self) {
-        self.arm(TelemetryConfig::new());
     }
 
     /// The armed telemetry, if any.
@@ -574,6 +591,10 @@ impl ChurnEngine {
     /// Advances one slot: departures → arrivals → packet arrivals →
     /// schedule the backlogged sub-instance → channel realization →
     /// service.
+    ///
+    /// While decision tracing is on, every slot is bracketed by
+    /// `SlotStart`/`SlotEnd` markers whose links are live-problem dense
+    /// ids; the scheduler's block in between uses the sub-problem's ids.
     pub fn step<S: Scheduler + ?Sized>(
         &mut self,
         scheduler: &S,
@@ -582,30 +603,36 @@ impl ChurnEngine {
         let _span = fading_obs::span!("sim.churn.slot");
         let armed = self.telemetry.is_some();
         // Trace capture (flight recorder only): the engine owns the
-        // global trace ring for the duration of the slot.
+        // global trace ring for the duration of each busy slot.
         let capture = self
             .telemetry
             .as_ref()
             .and_then(|t| t.flight.as_ref())
             .is_some_and(|f| f.rec.wants_trace());
+        // External tracing (e.g. `--trace-out`): capture switches
+        // tracing off between slots, so this sees only a caller's.
+        let traced = fading_obs::tracing_enabled();
         let mut timer = PhaseTimer::start(armed);
         let t = self.slot;
         let mut abandoned = 0u64;
 
         // Build the slot's transaction. Departures: collect expired
-        // links in dense order (the only deterministic iteration
-        // order), queued by external id. Arrivals: Poisson count,
+        // links in dense order, queued by external id (none ever expire
+        // under an infinite mean lifetime). Arrivals: Poisson count,
         // geometry sampled exactly like the seed generator's (sender
         // uniform in the region, length U[lo, hi], uniform direction).
         self.batch.clear();
+        self.departing.clear();
         self.arrival_departs.clear();
-        for dense in 0..self.map.len() as u32 {
-            let ext = self.map.external(LinkId(dense));
-            if self.states[&ext].departs_at <= t {
-                self.batch.remove(ext);
+        if self.cfg.mean_lifetime < f64::INFINITY {
+            for (dense, (state, &ext)) in self.states.iter().zip(self.map.externals()).enumerate() {
+                if state.departs_at <= t {
+                    self.batch.remove(ext);
+                    self.departing.push(dense as u32);
+                }
             }
         }
-        let link_departures = self.batch.removes().len() as u32;
+        let link_departures = self.departing.len() as u32;
         let arrivals = poisson(self.cfg.link_arrival_rate, &mut self.churn_rng);
         for _ in 0..arrivals {
             let departs_at = exponential_departure(t, self.cfg.mean_lifetime, &mut self.churn_rng);
@@ -634,19 +661,19 @@ impl ChurnEngine {
                     Err(e) => unreachable!("engine removes only live externals: {e}"),
                 }
             };
-            for ext in &receipt.removed {
-                let state = self.states.remove(ext).expect("state tracks map");
-                abandoned += state.queue.len() as u64;
+            // Mirror the commit on the state vector: swap-removes in
+            // the receipt's order (descending dense id), then appends.
+            debug_assert!(receipt.removed.iter().eq(self.batch.removes().iter().rev()));
+            for &dense in self.departing.iter().rev() {
+                abandoned += self.states.swap_remove(dense as usize).queue.len() as u64;
             }
-            for (i, &ext) in receipt.added.iter().enumerate() {
-                self.states.insert(
-                    ext,
-                    LinkState {
-                        queue: VecDeque::new(),
-                        departs_at: self.arrival_departs[i],
-                    },
-                );
-            }
+            self.states
+                .extend(self.arrival_departs.iter().map(|&departs_at| LinkState {
+                    queue: VecDeque::new(),
+                    departs_at,
+                    in_sub: false,
+                }));
+            debug_assert_eq!(self.states.len(), self.map.len());
             if link_departures > 0 {
                 fading_obs::counter!("sim.churn.link_departures").add(link_departures as u64);
             }
@@ -656,42 +683,39 @@ impl ChurnEngine {
         }
         timer.lap(PH_COMMIT);
 
-        // Packet arrivals on the live population, dense order.
+        // Packet arrivals on the live population and the backlogged set
+        // it leaves, one pass in dense order.
         let mut packets_arrived = 0u32;
-        for dense in 0..self.map.len() as u32 {
+        self.backlogged.clear();
+        for (dense, state) in self.states.iter_mut().enumerate() {
             if self.packet_rng.gen::<f64>() < self.cfg.packet_prob {
-                let ext = self.map.external(LinkId(dense));
-                self.states
-                    .get_mut(&ext)
-                    .expect("state tracks map")
-                    .queue
-                    .push_back(t);
+                state.queue.push_back(t);
                 packets_arrived += 1;
             }
-        }
-
-        // Schedule the backlogged sub-instance and realize the channel.
-        self.backlogged.clear();
-        for dense in 0..self.map.len() as u32 {
-            let ext = self.map.external(LinkId(dense));
-            if !self.states[&ext].queue.is_empty() {
-                self.backlogged.push(LinkId(dense));
+            if !state.queue.is_empty() {
+                self.backlogged.push(LinkId(dense as u32));
             }
         }
         timer.lap(PH_ENVELOPE);
+
+        // Schedule the backlogged sub-instance and realize the channel.
         let backlogged_count = self.backlogged.len() as u32;
+        let busy = backlogged_count > 0;
+        let capture = capture && busy;
+        let bracket = traced || capture;
         let mut scheduled = 0u32;
         let mut delivered = 0u32;
-        let mut sub_for_flight: Option<Problem> = None;
-        let mut trace_events: Vec<TraceEvent> = Vec::new();
-        if !self.backlogged.is_empty() {
-            if capture {
-                fading_obs::set_tracing(true);
-                fading_obs::trace::publish(vec![TraceEvent::SlotStart {
-                    slot: t,
-                    backlog: backlogged_count,
-                }]);
-            }
+        let mut slot_links = Vec::new();
+        if capture {
+            fading_obs::set_tracing(true);
+        }
+        if bracket {
+            fading_obs::trace::publish(vec![TraceEvent::SlotStart {
+                slot: t,
+                backlog: backlogged_count,
+            }]);
+        }
+        if busy {
             self.sync_sub(policy);
             timer.lap(PH_RESTRICT);
             let cache = self.sub.as_ref().expect("sync_sub always leaves a cache");
@@ -701,43 +725,45 @@ impl ChurnEngine {
             let mut channel_rng = seeded_rng(split_seed(self.cfg.seed, t + 2));
             let outcome = simulate_slot(&cache.sub, &schedule, &mut channel_rng);
             for sub_id in outcome.successes {
-                let ext = cache.main_of[&cache.map.external(sub_id)];
-                if self
-                    .states
-                    .get_mut(&ext)
-                    .expect("live")
-                    .queue
-                    .pop_front()
-                    .is_some()
-                {
+                let main = cache.dense[sub_id.index()];
+                if self.states[main.index()].queue.pop_front().is_some() {
                     delivered += 1;
                 }
             }
-            if capture {
-                fading_obs::trace::publish(vec![TraceEvent::SlotEnd {
-                    slot: t,
-                    links: schedule
-                        .iter()
-                        .map(|id| {
-                            let ext = cache.main_of[&cache.map.external(id)];
-                            self.map.dense(ext).expect("scheduled links are live").0
-                        })
-                        .collect(),
-                }]);
-                trace_events = fading_obs::take_trace().events;
-                fading_obs::set_tracing(false);
-                sub_for_flight = Some(cache.sub.clone());
+            if bracket {
+                slot_links = schedule
+                    .iter()
+                    .map(|id| cache.dense[id.index()].0)
+                    .collect();
             }
             self.ctx.recycle(schedule);
+        }
+        if bracket {
+            fading_obs::trace::publish(vec![TraceEvent::SlotEnd {
+                slot: t,
+                links: slot_links,
+            }]);
+        }
+        let mut trace_events: Vec<TraceEvent> = Vec::new();
+        let mut sub_for_flight: Option<Problem> = None;
+        if capture {
+            trace_events = fading_obs::take_trace().events;
+            fading_obs::set_tracing(false);
+            sub_for_flight = self.sub.as_ref().map(|c| c.sub.clone());
+        }
+        if busy {
             timer.lap(PH_SERVICE);
         }
 
-        let backlog: u64 = self
-            .map
-            .externals()
-            .iter()
-            .map(|ext| self.states[ext].queue.len() as u64)
-            .sum();
+        self.backlog = self.backlog + packets_arrived as u64 - abandoned - delivered as u64;
+        debug_assert_eq!(
+            self.backlog,
+            self.states
+                .iter()
+                .map(|s| s.queue.len() as u64)
+                .sum::<u64>()
+        );
+        let backlog = self.backlog;
         timer.lap(PH_ENVELOPE);
         self.slot = t + 1;
         let out = ChurnSlot {
@@ -782,114 +808,134 @@ impl ChurnEngine {
     /// entered or left the backlog since last slot (one transactional
     /// [`Problem::apply`] on the sub-instance), or restricts from
     /// scratch when there is no cache yet or the membership diff
-    /// exceeds half the cached size. Afterwards the sub's rates carry
+    /// exceeds half the cached size. Afterwards the cache's `dense`
+    /// maps each member to its live dense id and the sub's rates carry
     /// this slot's scheduling weights (queue lengths under MaxWeight,
-    /// the links' own rates otherwise), set in place.
+    /// the links' own rates otherwise).
     fn sync_sub(&mut self, policy: ServicePolicy) {
-        self.desired.clear();
-        for dense in &self.backlogged {
-            self.desired.insert(self.map.external(*dense));
-        }
-        // Diff the desired membership against the cache. Links whose
-        // geometry the cache copied are immutable while alive and
-        // external ids are never reused, so an unchanged member needs
-        // no work no matter how much the main problem churned around
-        // it; the diff IS the validity check. The main problem's stamp
-        // only classifies the outcome for telemetry: an empty diff at
-        // an unchanged stamp is a bit-identical reuse.
+        // Diff the backlog against the cache. Links whose geometry the
+        // cache copied are immutable while alive and external ids are
+        // never reused, so an unchanged member needs no work no matter
+        // how much the main problem churned around it; the diff IS the
+        // validity check. The main problem's stamp only tells whether
+        // members' dense ids may have moved, and classifies the outcome
+        // for telemetry: an empty diff at an unchanged stamp is a
+        // bit-identical reuse. Taking the diff also leaves every
+        // `in_sub` flag equal to "backlogged", the new membership.
+        let stamp = self.problem.stamp();
         let rebuild = match self.sub.as_mut() {
             None => true,
             Some(cache) => {
-                cache.batch.clear();
+                cache.dropped.clear();
                 cache.pending.clear();
-                for (ext, sub_ext) in &cache.sub_of {
-                    if !self.desired.contains(ext) {
-                        cache.batch.remove(*sub_ext);
+                let moved = cache.synced != stamp;
+                for (sub_dense, dense) in cache.dense.iter_mut().enumerate() {
+                    let live = if moved {
+                        self.map.dense(cache.members[sub_dense])
+                    } else {
+                        Some(*dense)
+                    };
+                    if let Some(live) = live {
+                        let state = &mut self.states[live.index()];
+                        if !state.queue.is_empty() {
+                            *dense = live;
+                            continue;
+                        }
+                        state.in_sub = false;
+                    }
+                    cache.dropped.push(sub_dense as u32);
+                }
+                for &dense in &self.backlogged {
+                    let state = &mut self.states[dense.index()];
+                    if !state.in_sub {
+                        state.in_sub = true;
+                        cache.pending.push(dense);
                     }
                 }
-                for dense in &self.backlogged {
-                    let ext = self.map.external(*dense);
-                    if !cache.sub_of.contains_key(&ext) {
-                        let link = self.problem.links().link(*dense);
-                        cache.batch.add(
-                            LinkSpec::new(link.sender, link.receiver)
-                                .with_rate(link.rate)
-                                .with_power_scale(self.problem.power_scale(*dense)),
-                        );
-                        cache.pending.push(ext);
-                    }
-                }
-                if 2 * cache.batch.len() > cache.map.len().max(1) {
+                let diff = cache.dropped.len() + cache.pending.len();
+                if 2 * diff > cache.members.len().max(1) {
                     true
                 } else {
-                    if cache.batch.is_empty() {
-                        let tag = if cache.synced == self.problem.stamp() {
-                            "sim.churn.sub.reuses"
+                    if diff == 0 {
+                        if moved {
+                            fading_obs::counter!("sim.churn.sub.holds").incr();
                         } else {
-                            "sim.churn.sub.holds"
-                        };
-                        fading_obs::counter(tag).add(1);
+                            fading_obs::counter!("sim.churn.sub.reuses").incr();
+                        }
                     } else {
-                        let receipt = cache
+                        let len = cache.members.len();
+                        let map = cache.map.get_or_insert_with(|| LinkIdMap::with_len(len));
+                        cache.batch.clear();
+                        for &sub_dense in &cache.dropped {
+                            cache.batch.remove(map.external(LinkId(sub_dense)));
+                        }
+                        for &dense in &cache.pending {
+                            let link = self.problem.links().link(dense);
+                            cache.batch.add(
+                                LinkSpec::new(link.sender, link.receiver)
+                                    .with_rate(link.rate)
+                                    .with_power_scale(self.problem.power_scale(dense)),
+                            );
+                        }
+                        cache
                             .sub
-                            .apply(&cache.batch, &mut cache.map)
+                            .apply(&cache.batch, map)
                             .expect("sub patches copy live links");
-                        for sub_ext in &receipt.removed {
-                            let ext = cache.main_of.remove(sub_ext).expect("membership mirrored");
-                            cache.sub_of.remove(&ext);
+                        // The receipt's order: swap-removes by
+                        // descending sub-dense id, then appends.
+                        for &sub_dense in cache.dropped.iter().rev() {
+                            cache.members.swap_remove(sub_dense as usize);
+                            cache.dense.swap_remove(sub_dense as usize);
                         }
-                        for (i, &sub_ext) in receipt.added.iter().enumerate() {
-                            cache.main_of.insert(sub_ext, cache.pending[i]);
-                            cache.sub_of.insert(cache.pending[i], sub_ext);
+                        for &dense in &cache.pending {
+                            cache.members.push(self.map.external(dense));
+                            cache.dense.push(dense);
                         }
-                        fading_obs::counter!("sim.churn.sub.patches").add(1);
+                        fading_obs::counter!("sim.churn.sub.patches").incr();
                     }
-                    cache.synced = self.problem.stamp();
+                    cache.synced = stamp;
                     false
                 }
             }
         };
         if rebuild {
             let (sub, mapping) = self.problem.restrict(&self.backlogged);
-            let k = mapping.len();
-            let mut main_of = HashMap::with_capacity(2 * k);
-            let mut sub_of = HashMap::with_capacity(2 * k);
-            for (i, orig) in mapping.iter().enumerate() {
-                let ext = self.map.external(*orig);
-                main_of.insert(i as u64, ext);
-                sub_of.insert(ext, i as u64);
+            for &dense in &self.backlogged {
+                self.states[dense.index()].in_sub = true;
             }
-            let batch = self
-                .sub
-                .take()
-                .map(|c| {
-                    let mut b = c.batch;
-                    b.clear();
-                    b
-                })
-                .unwrap_or_default();
+            let (mut members, batch, dropped, pending) = match self.sub.take() {
+                Some(c) => (c.members, c.batch, c.dropped, c.pending),
+                None => Default::default(),
+            };
+            members.clear();
+            members.extend(mapping.iter().map(|&dense| self.map.external(dense)));
             self.sub = Some(SubCache {
                 sub,
-                map: LinkIdMap::with_len(k),
-                main_of,
-                sub_of,
+                map: None,
+                members,
+                dense: mapping,
                 batch,
-                pending: Vec::new(),
-                synced: self.problem.stamp(),
+                dropped,
+                pending,
+                synced: stamp,
             });
-            fading_obs::counter!("sim.churn.sub.rebuilds").add(1);
+            fading_obs::counter!("sim.churn.sub.rebuilds").incr();
         }
         let cache = self.sub.as_mut().expect("cache just synced");
         self.rates.clear();
-        for dense in 0..cache.map.len() as u32 {
-            let ext = cache.main_of[&cache.map.external(LinkId(dense))];
-            self.rates.push(match policy {
-                ServicePolicy::MaxWeight => (self.states[&ext].queue.len() as f64).max(1e-9),
-                _ => {
-                    let main = self.map.dense(ext).expect("member is live");
-                    self.problem.links().link(main).rate
-                }
-            });
+        match policy {
+            ServicePolicy::MaxWeight => self.rates.extend(
+                cache
+                    .dense
+                    .iter()
+                    .map(|d| (self.states[d.index()].queue.len() as f64).max(1e-9)),
+            ),
+            ServicePolicy::PlainRates => self.rates.extend(
+                cache
+                    .dense
+                    .iter()
+                    .map(|&d| self.problem.links().link(d).rate),
+            ),
         }
         cache.sub.update_link_rates(&self.rates);
     }
@@ -994,6 +1040,9 @@ impl ChurnEngine {
             out.final_backlog = slot.backlog;
             population.push(slot.population as f64);
             backlog_stats.push(slot.backlog as f64);
+            if !fading_obs::progress_enabled() {
+                continue;
+            }
             let mut detail = std::mem::take(&mut self.detail);
             detail.clear();
             if let Some(tel) = self.telemetry.as_deref() {
@@ -1146,11 +1195,22 @@ fn poisson(lambda: f64, rng: &mut StdRng) -> u32 {
 }
 
 /// First slot at which a link arriving at `t` is gone: an exponential
-/// lifetime with the given mean, floored at one full slot of life.
+/// lifetime with the given mean, floored at one full slot of life. The
+/// uniform is drawn for every mean, so the stream advances identically.
 fn exponential_departure(t: u64, mean: f64, rng: &mut StdRng) -> u64 {
-    let u: f64 = rng.gen();
+    departure_slot(t, mean, rng.gen())
+}
+
+/// [`exponential_departure`] for the uniform draw `u ∈ [0, 1)`. An
+/// infinite mean never departs (`u64::MAX`; at `u = 0` the formula
+/// would give `∞·0 = NaN`), and a finite life too long for a `u64`
+/// saturates instead of wrapping.
+fn departure_slot(t: u64, mean: f64, u: f64) -> u64 {
+    if mean == f64::INFINITY {
+        return u64::MAX;
+    }
     let life = -mean * (1.0 - u).ln();
-    t + 1 + life.floor() as u64
+    (t + 1).saturating_add(life.floor() as u64)
 }
 
 #[cfg(test)]
@@ -1246,58 +1306,73 @@ mod tests {
         // whole sub bit-equivalent to a fresh build over its own links
         // (rates included — MaxWeight rewrites them in place each
         // slot, so the weights ride along into the rebuild).
-        let mut e = engine(cfg(150));
-        let mut patched_slots = 0;
-        for _ in 0..150 {
-            e.step(&GreedyRate, ServicePolicy::MaxWeight);
-            if e.backlogged.is_empty() {
-                continue;
+        // At light load the backlog set turns over almost entirely
+        // between slots (rebuilds); at heavier load it moves by a few
+        // links (patches). Both must mirror.
+        let mut mapped_slots = 0;
+        for packet_prob in [0.05, 0.4] {
+            let mut e = engine(ChurnConfig {
+                packet_prob,
+                ..cfg(150)
+            });
+            let mut patched_slots = 0;
+            for _ in 0..150 {
+                e.step(&GreedyRate, ServicePolicy::MaxWeight);
+                if e.backlogged.is_empty() {
+                    continue;
+                }
+                let cache = e.sub.as_ref().expect("backlog scheduled ⇒ cache");
+                patched_slots += 1;
+                assert_eq!(cache.sub.len(), e.backlogged.len());
+                if let Some(map) = &cache.map {
+                    assert_eq!(map.len(), cache.sub.len());
+                    mapped_slots += 1;
+                }
+                assert_eq!(cache.members.len(), cache.sub.len());
+                assert_eq!(cache.dense.len(), cache.sub.len());
+                assert_eq!(e.states.len(), e.map.len());
+                let mut want: Vec<u64> = e.backlogged.iter().map(|d| e.map.external(*d)).collect();
+                let mut got = cache.members.clone();
+                want.sort_unstable();
+                got.sort_unstable();
+                got.dedup();
+                assert_eq!(want, got, "cache membership drifted from the backlog");
+                // The dense flags are the inverse of `members`: set exactly
+                // on the live links the sub holds.
+                for (dense, state) in e.states.iter().enumerate() {
+                    let ext = e.map.external(LinkId(dense as u32));
+                    assert_eq!(
+                        state.in_sub,
+                        cache.members.contains(&ext),
+                        "in_sub flag of external {ext} drifted from the membership"
+                    );
+                }
+                for dense in 0..cache.sub.len() as u32 {
+                    let sub_link = cache.sub.links().link(LinkId(dense));
+                    let ext = cache.members[dense as usize];
+                    let main = e.map.dense(ext).expect("live");
+                    assert_eq!(cache.dense[dense as usize], main);
+                    let main_link = e.problem.links().link(main);
+                    assert_eq!(sub_link.sender, main_link.sender);
+                    assert_eq!(sub_link.receiver, main_link.receiver);
+                    assert_eq!(
+                        cache.sub.power_scale(LinkId(dense)),
+                        e.problem.power_scale(main)
+                    );
+                }
+                let p = &cache.sub;
+                let rebuilt = Problem::builder(
+                    fading_net::LinkSet::new(*p.links().region(), p.links().links().to_vec()),
+                    *p.params(),
+                )
+                .epsilon(p.epsilon())
+                .backend(p.backend_choice())
+                .build();
+                assert_eq!(p, &rebuilt, "patched sub-problem diverged from rebuild");
             }
-            let cache = e.sub.as_ref().expect("backlog scheduled ⇒ cache");
-            patched_slots += 1;
-            assert_eq!(cache.sub.len(), e.backlogged.len());
-            assert_eq!(cache.map.len(), cache.sub.len());
-            assert_eq!(cache.main_of.len(), cache.sub.len());
-            let mut want: Vec<u64> = e.backlogged.iter().map(|d| e.map.external(*d)).collect();
-            let mut got: Vec<u64> = cache.sub_of.keys().copied().collect();
-            want.sort_unstable();
-            got.sort_unstable();
-            assert_eq!(want, got, "cache membership drifted from the backlog");
-            for dense in 0..cache.sub.len() as u32 {
-                let sub_link = cache.sub.links().link(LinkId(dense));
-                let ext = cache.main_of[&cache.map.external(LinkId(dense))];
-                let main_link = e.problem.links().link(e.map.dense(ext).expect("live"));
-                assert_eq!(sub_link.sender, main_link.sender);
-                assert_eq!(sub_link.receiver, main_link.receiver);
-            }
-            let p = &cache.sub;
-            let rebuilt = Problem::builder(
-                fading_net::LinkSet::new(*p.links().region(), p.links().links().to_vec()),
-                *p.params(),
-            )
-            .epsilon(p.epsilon())
-            .backend(p.backend_choice())
-            .build();
-            assert_eq!(p, &rebuilt, "patched sub-problem diverged from rebuild");
+            assert!(patched_slots > 50, "backlog was almost always empty");
         }
-        assert!(patched_slots > 50, "backlog was almost always empty");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_arm_shims_still_arm() {
-        let mut e = engine(cfg(10));
-        e.arm_phases();
-        assert!(e.telemetry().is_some());
-        e.arm_series(SlotSeries::in_memory(fading_obs::SeriesConfig::default()));
-        e.arm_flight(FlightConfig::default(), None);
-        for _ in 0..10 {
-            e.step(&GreedyRate, ServicePolicy::MaxWeight);
-        }
-        let tel = e.take_telemetry().expect("armed");
-        assert!(tel.series().is_some());
-        assert_eq!(tel.series().unwrap().recorded(), 10);
-        assert_eq!(tel.health(), "ok");
+        assert!(mapped_slots > 0, "the patch path never ran");
     }
 
     #[test]
@@ -1442,91 +1517,6 @@ mod tests {
         assert!(!a.contains("_ns"), "timing fields leaked into det mode");
     }
 
-    #[test]
-    fn queue_blowup_dumps_a_replayable_postmortem_bundle() {
-        // Overload a small instance (every link draws a packet every
-        // slot) so backlog grows strictly; the flight recorder must
-        // fire QueueGrowth, dump the bundle, and the replay half of the
-        // bundle must replay cleanly against the saved sub-instance.
-        // The engine owns the global trace ring while capturing; this
-        // is the only test in the binary that traces.
-        fading_obs::set_tracing(false);
-        let _ = fading_obs::take_trace();
-        let dir = std::env::temp_dir().join(format!("churn_flight_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let mut e = engine_sized(
-            20,
-            ChurnConfig {
-                slots: 400,
-                link_arrival_rate: 0.5,
-                mean_lifetime: 40.0,
-                packet_prob: 1.0,
-                seed: 23,
-            },
-        );
-        e.arm(TelemetryConfig::new().flight(
-            FlightConfig {
-                capacity: 16,
-                growth_window: 6,
-                min_stall_ns: u64::MAX,
-                zero_delivery_window: u32::MAX,
-                ..Default::default()
-            },
-            Some(dir.clone()),
-        ));
-        let mut fired_at = None;
-        for t in 0..400 {
-            e.step(&GreedyRate, ServicePolicy::MaxWeight);
-            if e.health() != "ok" {
-                fired_at = Some(t);
-                break;
-            }
-        }
-        assert!(fired_at.is_some(), "overload never tripped the detector");
-        assert_eq!(e.health(), "queue_growth");
-        let tel = e.take_telemetry().unwrap();
-        assert_eq!(tel.postmortem(), Some(dir.as_path()));
-
-        // The bundle: post-mortem doc + forensic trace + replay half.
-        let doc = serde_json::parse_node_str(
-            &std::fs::read_to_string(dir.join("postmortem.json")).unwrap(),
-        )
-        .unwrap();
-        assert_eq!(
-            doc.get("version"),
-            Some(&serde::Node::U64(u64::from(fading_obs::POSTMORTEM_VERSION)))
-        );
-        assert!(doc
-            .get("anomaly")
-            .and_then(|a| a.get("QueueGrowth"))
-            .is_some());
-        assert!(dir.join("flight_trace.jsonl").exists());
-
-        // Acceptance: replay_trace.jsonl replays against the saved
-        // sub-instance under certify::replay_trace.
-        let trace = fading_obs::Trace::from_jsonl(
-            &std::fs::read_to_string(dir.join("replay_trace.jsonl")).unwrap(),
-        )
-        .unwrap();
-        assert!(!trace.events.is_empty());
-        let links = fading_net::io::load(&dir.join("replay_instance.json")).unwrap();
-        let meta = serde_json::parse_node_str(
-            &std::fs::read_to_string(dir.join("replay_meta.json")).unwrap(),
-        )
-        .unwrap();
-        let eps = match meta.get("epsilon") {
-            Some(serde::Node::F64(x)) => *x,
-            other => panic!("epsilon missing from replay meta: {other:?}"),
-        };
-        let rebuilt = Problem::builder(links, ChannelParams::with_alpha(3.0))
-            .epsilon(eps)
-            .build();
-        let certs = fading_core::certify::replay_trace(&rebuilt, &trace)
-            .expect("post-mortem trace must replay");
-        assert!(!certs.is_empty());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
     /// Delegates to [`GreedyRate`] but sleeps once, well after the
     /// stall detector's warmup — the injected anomaly.
     struct Sleepy {
@@ -1617,6 +1607,82 @@ mod tests {
         assert_eq!(e.health(), "zero_delivery_streak");
     }
 
+    /// Static queueing: the zero-churn engine over a paper instance.
+    fn queueing(n: usize, instance_seed: u64, packet_prob: f64, slots: u64) -> ChurnEngine {
+        let geometry = UniformGenerator::paper(n);
+        let problem = Problem::paper(geometry.generate(instance_seed), 3.0);
+        let cfg = ChurnConfig {
+            slots,
+            link_arrival_rate: 0.0,
+            mean_lifetime: f64::INFINITY,
+            packet_prob,
+            seed: 42,
+        };
+        ChurnEngine::new(problem, geometry, cfg)
+    }
+
+    #[test]
+    fn zero_churn_keeps_the_population_constant() {
+        // An infinite mean lifetime means "never departs": no overflow
+        // in the departure slot (this runs as a debug build), no link
+        // lost at slot 0, none over a long horizon.
+        let mut e = queueing(30, 1, 0.1, 500);
+        for _ in 0..500 {
+            let slot = e.step(&GreedyRate, ServicePolicy::PlainRates);
+            assert_eq!((slot.link_arrivals, slot.link_departures), (0, 0));
+            assert_eq!(slot.population, 30);
+            assert_eq!(slot.packets_abandoned, 0);
+        }
+        assert_eq!(e.problem().len(), 30);
+        assert_eq!(e.cfg.equilibrium_population(), 0.0);
+    }
+
+    #[test]
+    fn greedy_sustains_more_load_than_rle() {
+        let greedy = queueing(100, 4, 0.08, 600).run(&GreedyRate, ServicePolicy::PlainRates);
+        let rle = queueing(100, 4, 0.08, 600).run(&Rle::new(), ServicePolicy::PlainRates);
+        assert_eq!(greedy.packets_arrived, rle.packets_arrived, "same arrivals");
+        assert!(greedy.conserves_packets() && rle.conserves_packets());
+        assert!(
+            greedy.mean_backlog < rle.mean_backlog,
+            "greedy backlog {} vs RLE {}",
+            greedy.mean_backlog,
+            rle.mean_backlog
+        );
+    }
+
+    #[test]
+    fn maxweight_does_not_collapse_throughput() {
+        // Under moderate overload backpressure chases long queues
+        // instead of maximizing the served count, but it must not give
+        // away more than a fifth of plain-rate service.
+        let plain = queueing(100, 8, 0.12, 800).run(&GreedyRate, ServicePolicy::PlainRates);
+        let mw = queueing(100, 8, 0.12, 800).run(&GreedyRate, ServicePolicy::MaxWeight);
+        assert_eq!(plain.packets_arrived, mw.packets_arrived, "same arrivals");
+        assert!(
+            mw.packets_delivered as f64 >= 0.8 * plain.packets_delivered as f64,
+            "backpressure should not collapse throughput ({} vs {})",
+            mw.packets_delivered,
+            plain.packets_delivered
+        );
+    }
+
+    #[test]
+    fn deep_overload_reuses_the_sub_problem() {
+        // Every link draws a packet every slot, so after the first busy
+        // slot the backlog never changes and the main problem never
+        // moves: every later slot must reuse the cached sub-problem.
+        let reuses = fading_obs::counter("sim.churn.sub.reuses");
+        let before = reuses.value();
+        let r = queueing(40, 12, 1.0, 50).run(&GreedyRate, ServicePolicy::MaxWeight);
+        assert!(r.conserves_packets(), "{r:?}");
+        assert!(
+            reuses.value() - before >= 40,
+            "expected ≥40 reused slots, got {}",
+            reuses.value() - before
+        );
+    }
+
     #[test]
     fn poisson_mean_is_right() {
         let mut rng = seeded_rng(1);
@@ -1635,5 +1701,25 @@ mod tests {
                 assert!(exponential_departure(t, 1.0, &mut rng) > t);
             }
         }
+    }
+
+    #[test]
+    fn infinite_lifetimes_never_depart_and_keep_the_stream_in_step() {
+        for u in [0.0, 0.5, 1.0 - f64::EPSILON] {
+            for t in [0u64, 7, u64::MAX - 1] {
+                assert_eq!(departure_slot(t, f64::INFINITY, u), u64::MAX);
+            }
+            // A finite but astronomically long life saturates.
+            assert_eq!(departure_slot(5, 1e300, u.max(0.5)), u64::MAX);
+        }
+        assert_eq!(departure_slot(5, 1.0, 0.0), 6, "at least one slot of life");
+        let mut finite = seeded_rng(3);
+        let mut infinite = seeded_rng(3);
+        for t in [0u64, 7, 100] {
+            exponential_departure(t, 5.0, &mut finite);
+            exponential_departure(t, f64::INFINITY, &mut infinite);
+        }
+        // Both streams consumed one uniform per draw.
+        assert_eq!(finite.gen::<u64>(), infinite.gen::<u64>());
     }
 }

@@ -14,6 +14,9 @@
 //!   link lengths U\[5,20\], ε = 0.01, γ_th = 1, λ = 1) plus sweep grids;
 //! * [`runner`] — the Fig. 5/Fig. 6 sweeps over `N` and `α` for any set
 //!   of schedulers;
+//! * [`churn`] — the online engine: scheduling slot after slot over a
+//!   backlogged, optionally churning link population (static queueing
+//!   is its zero-churn case);
 //! * [`results`] — serializable result rows, text tables, and CSV.
 
 pub mod batch;
@@ -21,7 +24,6 @@ pub mod churn;
 pub mod config;
 pub mod convergence;
 pub mod monte_carlo;
-pub mod queueing;
 pub mod results;
 pub mod robustness;
 pub mod runner;
@@ -30,14 +32,11 @@ pub mod slot;
 pub use batch::BatchRunner;
 pub use churn::{
     stability_frontier, ChurnConfig, ChurnEngine, ChurnResult, ChurnSlot, ChurnTelemetry,
-    TelemetryConfig,
+    ServicePolicy, TelemetryConfig,
 };
 pub use config::ExperimentConfig;
 pub use convergence::{convergence_trace, trials_for_ci, TracePoint};
 pub use monte_carlo::{simulate_many, MonteCarloStats};
-pub use queueing::{
-    simulate_queueing, simulate_queueing_with_policy, QueueConfig, QueueResult, ServicePolicy,
-};
 pub use results::{ResultRow, ResultTable};
 pub use robustness::{
     burstiness, drift_reliability, simulate_many_nakagami, simulate_many_shadowed, sinr_histogram,

@@ -6,7 +6,7 @@
 //! Eq. (5)), then test the realized SINR against `γ_th` (Eq. (7)–(8)).
 //!
 //! Every draw is scaled by the problem's per-link power scale. The
-//! queueing and multi-slot loops hand this function *residual*
+//! online engine and the multi-slot loop hand this function *residual*
 //! sub-problems built by `Problem::restrict`, which slices the parent's
 //! power scales along with its interference state — so
 //! `sample_gain_scaled` sees the true transmit powers here even though
