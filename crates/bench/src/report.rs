@@ -399,6 +399,15 @@ fn substrate_benches(rec: &mut Recorder) {
         });
     }
 
+    if rec.wants("simulate_many/ldp/300x1000") {
+        // The Monte-Carlo kernel: one gain table, 1000 trials.
+        let problem = Problem::paper(UniformGenerator::paper(300).generate(1), 3.0);
+        let schedule = Ldp::new().schedule(&problem);
+        rec.time("simulate_many/ldp/300x1000", move || {
+            black_box(fading_sim::simulate_many(&problem, &schedule, 1000, 3));
+        });
+    }
+
     if rec.wants("queueing/greedy/100x50") {
         // Static queueing: the online engine's zero-churn case.
         let geometry = UniformGenerator::paper(100);

@@ -7,9 +7,11 @@
 //!
 //! * [`batch`] — pooled scheduling workspaces so sweep workers reuse
 //!   warm scratch arenas instead of allocating per instance;
-//! * [`slot`] — one channel realization of a schedule;
+//! * [`slot`] — one channel realization of a schedule, drawn from the
+//!   pair's [`GainTable`] of path-loss means;
 //! * [`monte_carlo`] — many independent realizations in parallel
-//!   (rayon), reduced into exact mergeable statistics;
+//!   (rayon), reduced in trial order into thread-count-invariant
+//!   statistics;
 //! * [`config`] — the paper's experiment configuration (500×500 field,
 //!   link lengths U\[5,20\], ε = 0.01, γ_th = 1, λ = 1) plus sweep grids;
 //! * [`runner`] — the Fig. 5/Fig. 6 sweeps over `N` and `α` for any set
@@ -43,4 +45,4 @@ pub use robustness::{
     BurstStats,
 };
 pub use runner::{sweep, sweep_alpha, sweep_n, SweepAxis};
-pub use slot::{realized_sinrs, simulate_slot, SlotOutcome};
+pub use slot::{realized_sinrs, simulate_slot, GainTable, SlotOutcome};

@@ -12,15 +12,18 @@
 //!   mobility after the schedule was computed;
 //! * [`sinr_histogram`] — the realized SINR distribution of a schedule.
 
-use crate::monte_carlo::MonteCarloStats;
-use fading_channel::{sinr_of, NakagamiChannel, ShadowedRayleigh};
+use crate::monte_carlo::{monte_carlo, MonteCarloStats};
+use crate::slot::GainTable;
+use fading_channel::nakagami::sample_gamma;
+use fading_channel::{NakagamiChannel, ShadowedRayleigh};
 use fading_core::{FeasibilityReport, Problem, Schedule};
-use fading_math::{seeded_rng, split_seed, Histogram, OnlineStats};
+use fading_math::{seeded_rng, split_seed, Exponential, Histogram};
 use fading_net::RandomWaypoint;
-use rayon::prelude::*;
 
 /// Monte-Carlo evaluation of `schedule` when the fast fading is
-/// Nakagami-m instead of Rayleigh.
+/// Nakagami-m instead of Rayleigh: each power is `Gamma(m, mean/m)` over
+/// the pair's path-loss mean (unscaled by power control), drawn in the
+/// [`GainTable`] order.
 pub fn simulate_many_nakagami(
     problem: &Problem,
     schedule: &Schedule,
@@ -28,47 +31,13 @@ pub fn simulate_many_nakagami(
     trials: u64,
     base_seed: u64,
 ) -> MonteCarloStats {
-    assert!(trials > 0, "at least one trial is required");
     let channel = NakagamiChannel::new(*problem.params(), m);
-    let links = problem.links();
-    let (failed, throughput) = (0..trials)
-        .into_par_iter()
-        .fold(
-            || (OnlineStats::new(), OnlineStats::new()),
-            |(mut f, mut th), t| {
-                let mut rng = seeded_rng(split_seed(base_seed, t));
-                let mut failed_count = 0u32;
-                let mut delivered = 0.0;
-                for j in schedule.iter() {
-                    let signal = channel.sample_gain(&mut rng, links.length(j));
-                    let interference = schedule.iter().filter(|&i| i != j).map(|i| {
-                        channel.sample_gain(&mut rng, links.sender_receiver_distance(i, j))
-                    });
-                    if sinr_of(problem.params(), signal, interference).success {
-                        delivered += problem.rate(j);
-                    } else {
-                        failed_count += 1;
-                    }
-                }
-                f.push(failed_count as f64);
-                th.push(delivered);
-                (f, th)
-            },
-        )
-        .reduce(
-            || (OnlineStats::new(), OnlineStats::new()),
-            |(mut f1, mut t1), (f2, t2)| {
-                f1.merge(&f2);
-                t1.merge(&t2);
-                (f1, t1)
-            },
-        );
-    MonteCarloStats {
-        scheduled: schedule.len(),
-        scheduled_rate: schedule.utility(problem),
-        failed: failed.summary(),
-        throughput: throughput.summary(),
-    }
+    let table = GainTable::new(problem, schedule);
+    monte_carlo(problem, schedule, trials, base_seed, |rng| {
+        table.realize_with(rng, |rng, _, _, mean| {
+            sample_gamma(rng, channel.m, mean / channel.m)
+        })
+    })
 }
 
 /// Monte-Carlo evaluation under Rayleigh fast fading composed with
@@ -82,64 +51,19 @@ pub fn simulate_many_shadowed(
     trials: u64,
     base_seed: u64,
 ) -> MonteCarloStats {
-    assert!(trials > 0, "at least one trial is required");
     let channel = ShadowedRayleigh::new(*problem.params(), sigma_db);
-    let links = problem.links();
-    let members: Vec<_> = schedule.iter().collect();
-    let (failed, throughput) =
-        (0..trials)
-            .into_par_iter()
-            .fold(
-                || (OnlineStats::new(), OnlineStats::new()),
-                |(mut f, mut th), t| {
-                    let mut rng = seeded_rng(split_seed(base_seed, t));
-                    // Quasi-static shadowing: one factor per (i, j) pair,
-                    // fixed for the whole realization.
-                    let k = members.len();
-                    let mut shadow = vec![1.0f64; k * k];
-                    for v in shadow.iter_mut() {
-                        *v = channel.sample_shadow_factor(&mut rng);
-                    }
-                    let mut failed_count = 0u32;
-                    let mut delivered = 0.0;
-                    for (jj, &j) in members.iter().enumerate() {
-                        let signal =
-                            channel.sample_gain(&mut rng, links.length(j), shadow[jj * k + jj]);
-                        let interference =
-                            members.iter().enumerate().filter(|&(ii, _)| ii != jj).map(
-                                |(ii, &i)| {
-                                    channel.sample_gain(
-                                        &mut rng,
-                                        links.sender_receiver_distance(i, j),
-                                        shadow[ii * k + jj],
-                                    )
-                                },
-                            );
-                        if sinr_of(problem.params(), signal, interference).success {
-                            delivered += problem.rate(j);
-                        } else {
-                            failed_count += 1;
-                        }
-                    }
-                    f.push(failed_count as f64);
-                    th.push(delivered);
-                    (f, th)
-                },
-            )
-            .reduce(
-                || (OnlineStats::new(), OnlineStats::new()),
-                |(mut f1, mut t1), (f2, t2)| {
-                    f1.merge(&f2);
-                    t1.merge(&t2);
-                    (f1, t1)
-                },
-            );
-    MonteCarloStats {
-        scheduled: schedule.len(),
-        scheduled_rate: schedule.utility(problem),
-        failed: failed.summary(),
-        throughput: throughput.summary(),
-    }
+    let table = GainTable::new(problem, schedule);
+    let k = table.len();
+    monte_carlo(problem, schedule, trials, base_seed, |rng| {
+        // Quasi-static shadowing: one factor per (sender i, receiver j)
+        // pair at `i·k + j`, fixed for the whole realization.
+        let shadow: Vec<f64> = (0..k * k)
+            .map(|_| channel.sample_shadow_factor(rng))
+            .collect();
+        table.realize_with(rng, |rng, j, i, mean| {
+            Exponential::with_mean(mean * shadow[i * k + j]).sample(rng)
+        })
+    })
 }
 
 /// Expected failures per slot of a *fixed* schedule as the topology
@@ -274,9 +198,10 @@ pub fn sinr_histogram(
     hi_db: f64,
 ) -> Histogram {
     let mut hist = Histogram::new(lo_db, hi_db, bins);
+    let table = GainTable::new(problem, schedule);
     for t in 0..trials {
         let mut rng = seeded_rng(split_seed(seed, t));
-        for (_, sinr) in crate::slot::realized_sinrs(problem, schedule, &mut rng) {
+        for (_, sinr) in table.sinrs(&mut rng) {
             if sinr.is_finite() && sinr > 0.0 {
                 hist.record(10.0 * sinr.log10());
             }
