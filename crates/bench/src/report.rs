@@ -437,10 +437,11 @@ fn density_scaled(n: usize) -> UniformGenerator {
     }
 }
 
-/// The online-engine mutate benches: single-link `add_links` /
-/// `remove_links` cycles against the from-scratch rebuild they
-/// replace, at n = 10 000 on the sparse backend (α = 4, the large-N
-/// smoke config — the dense matrix at this size would be 800 MB).
+/// The online-engine mutate benches: cycles of a one-link add and a
+/// one-link remove, each its own `Problem::apply` batch, against the
+/// from-scratch rebuild they replace, at n = 10 000 on the sparse
+/// backend (α = 4, the large-N smoke config — the dense matrix at this
+/// size would be 800 MB).
 /// `mutate.vs_rebuild.ratio` is the headline contract, gated by a
 /// `[max]` ceiling of 0.1 in `bench-gates.toml`: a single-link patch
 /// must stay ≥ 10× cheaper than rebuilding. (The transactional batch
@@ -480,20 +481,32 @@ fn mutate_benches(rec: &mut Recorder) {
         let rounds = rec.samples * 40;
         let mut add_ns = Vec::with_capacity(rounds);
         let mut remove_ns = Vec::with_capacity(rounds);
+        let mut map = LinkIdMap::with_len(problem.len());
+        let mut batch = MutationBatch::new();
+        // Adds link `i`, then removes it again; returns both commit times.
+        let mut cycle = |i: usize| -> (f64, f64) {
+            batch.clear();
+            batch.add(spec_at(i));
+            let start = Instant::now();
+            let receipt = problem.apply(&batch, &mut map).expect("interior spec");
+            let add = start.elapsed().as_nanos() as f64;
+            batch.clear();
+            batch.remove(receipt.added[0]);
+            let start = Instant::now();
+            problem
+                .apply(&batch, &mut map)
+                .expect("just-added external");
+            (add, start.elapsed().as_nanos() as f64)
+        };
         for i in 0..4 {
             // Warm-up cycles (first mutation on a fresh build also
             // pays the one-time envelope reconcile).
-            let ids = problem.add_links(&[spec_at(i)]).expect("interior spec");
-            problem.remove_links(&ids);
+            cycle(i);
         }
         for i in 0..rounds {
-            let spec = spec_at(i);
-            let start = Instant::now();
-            let ids = problem.add_links(&[spec]).expect("interior spec");
-            add_ns.push(start.elapsed().as_nanos() as f64);
-            let start = Instant::now();
-            problem.remove_links(&ids);
-            remove_ns.push(start.elapsed().as_nanos() as f64);
+            let (add, remove) = cycle(i);
+            add_ns.push(add);
+            remove_ns.push(remove);
         }
         rec.timed(&add_id, summarize(add_ns));
         rec.timed(&remove_id, summarize(remove_ns));
@@ -618,7 +631,7 @@ fn churn_benches(rec: &mut Recorder) {
 
 /// The transactional mutate contract at the churn scale: one
 /// `Problem::apply` of a 64-add `MutationBatch` versus the same 64
-/// links pushed one `add_links` call at a time, at n = 100 000 on the
+/// links committed as 64 one-link `apply` batches, at n = 100 000 on the
 /// sparse substrate (α = 4, the sustained-churn geometry). At this n a
 /// single add is dominated by the per-commit `O(n)` terms — the
 /// envelope reconcile scan and the exactness sweep — while the
@@ -686,16 +699,22 @@ fn mutate_batch_benches(rec: &mut Recorder) {
             .apply(&undo, &mut map)
             .expect("just-added externals");
 
-        let mut dense = Vec::with_capacity(K);
+        let mut one = MutationBatch::new();
+        let mut undo = MutationBatch::new();
         let start = Instant::now();
         for i in 0..K {
-            dense.extend(problem.add_links(&[spec_at(i)]).expect("interior spec"));
+            one.clear();
+            one.add(spec_at(i));
+            let receipt = problem.apply(&one, &mut map).expect("interior spec");
+            undo.remove(receipt.added[0]);
         }
         let elapsed = start.elapsed().as_nanos() as f64;
         if round > 0 {
             seq_ns.push(elapsed);
         }
-        problem.remove_links(&dense);
+        problem
+            .apply(&undo, &mut map)
+            .expect("just-added externals");
     }
     rec.timed(&batch_id, summarize(batch_ns));
     rec.timed(&seq_id, summarize(seq_ns));

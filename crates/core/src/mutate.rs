@@ -1,18 +1,14 @@
 //! Incremental topology mutation support types (see `docs/online.md`).
 //!
-//! [`crate::Problem::add_links`] / [`crate::Problem::remove_links`]
-//! patch a live instance in place, but they renumber: dense `LinkId`s
-//! must stay contiguous (`0..n`), so removal uses `swap_remove`
-//! semantics and the tail link takes the vacated id. A long-running
-//! engine (the churn simulator, an external controller) needs handles
-//! that *survive* that renumbering — [`LinkIdMap`] provides them by
-//! mirroring every mutation the problem performs.
-//!
-//! [`MutationBatch`] is the transactional surface over both: typed
-//! adds ([`LinkSpec`]) plus removes by *external* id, validated
-//! atomically and committed by [`crate::Problem::apply`] with one
-//! envelope reconciliation and one spatial-index patch pass for the
-//! whole batch — the per-slot entry point of the churn engine.
+//! [`crate::Problem::apply`] is the one way a live instance changes. It
+//! commits a [`MutationBatch`] — typed adds ([`LinkSpec`]) plus removes
+//! by *external* id — validated atomically, with one envelope
+//! reconciliation and one spatial-index patch pass for the whole batch.
+//! Dense `LinkId`s must stay contiguous (`0..n`), so removal uses
+//! `swap_remove` semantics and the tail link takes the vacated id. A
+//! long-running engine (the churn simulator, an external controller)
+//! needs handles that *survive* that renumbering; [`LinkIdMap`]
+//! provides them, and `apply` advances it in step with the problem.
 
 use fading_geom::Point2;
 use fading_net::{LinkId, ValidationError};
@@ -158,6 +154,14 @@ pub enum MutationError {
         /// The underlying validation failure.
         source: ValidationError,
     },
+    /// The [`LinkIdMap`] does not mirror the problem (it was built for
+    /// another instance): its length differs from the live link count.
+    MapOutOfSync {
+        /// Links the map tracks.
+        map: usize,
+        /// Links the problem holds.
+        problem: usize,
+    },
 }
 
 impl std::fmt::Display for MutationError {
@@ -169,6 +173,10 @@ impl std::fmt::Display for MutationError {
             MutationError::InvalidAdd { slot, source } => {
                 write!(f, "batch add slot {slot} is invalid: {source}")
             }
+            MutationError::MapOutOfSync { map, problem } => write!(
+                f,
+                "link id map tracks {map} links but the problem holds {problem}"
+            ),
         }
     }
 }
@@ -176,8 +184,8 @@ impl std::fmt::Display for MutationError {
 impl std::error::Error for MutationError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            MutationError::UnknownExternal(_) => None,
             MutationError::InvalidAdd { source, .. } => Some(source),
+            MutationError::UnknownExternal(_) | MutationError::MapOutOfSync { .. } => None,
         }
     }
 }
@@ -187,20 +195,24 @@ impl std::error::Error for MutationError {
 ///
 /// External ids are `u64`s handed out once per added link and never
 /// reused; dense ids are the contiguous `0..n` indices the problem's
-/// matrices are addressed by. The map stays consistent by *mirroring*
-/// the problem's mutations: call [`on_add`](Self::on_add) once per
-/// appended link and [`on_swap_remove`](Self::on_swap_remove) once per
-/// removed dense id, in the exact order the problem applied them
-/// ([`crate::Problem::remove_links`] returns that order).
+/// matrices are addressed by. [`crate::Problem::apply`] keeps the map
+/// consistent by mirroring every add and swap-remove it commits, in
+/// the order it commits them.
 ///
 /// ```
-/// use fading_core::LinkIdMap;
-/// use fading_net::LinkId;
+/// use fading_core::{LinkIdMap, LinkSpec, MutationBatch, Problem};
+/// use fading_geom::Point2;
+/// use fading_net::{LinkId, TopologyGenerator, UniformGenerator};
 ///
+/// let mut problem = Problem::paper(UniformGenerator::paper(3).generate(1), 3.0);
 /// let mut map = LinkIdMap::with_len(3); // dense 0,1,2 ↔ external 0,1,2
-/// let ext = map.on_add(); // dense 3
+/// let mut batch = MutationBatch::new();
+/// batch.add(LinkSpec::new(Point2::new(900.0, 900.0), Point2::new(905.0, 900.0)));
+/// let ext = problem.apply(&batch, &mut map).unwrap().added[0]; // dense 3
 /// assert_eq!(map.dense(ext), Some(LinkId(3)));
-/// map.on_swap_remove(LinkId(1)); // tail (dense 3) takes id 1
+/// batch.clear();
+/// batch.remove(1);
+/// problem.apply(&batch, &mut map).unwrap(); // tail (dense 3) takes id 1
 /// assert_eq!(map.dense(ext), Some(LinkId(1)));
 /// assert_eq!(map.dense(1), None); // external 1 is gone
 /// ```
@@ -233,9 +245,9 @@ impl LinkIdMap {
     }
 
     /// Registers one appended link (dense id = previous `len`) and
-    /// returns its external handle. Mirror of one
-    /// [`crate::Problem::add_links`] element, applied in spec order.
-    pub fn on_add(&mut self) -> u64 {
+    /// returns its external handle. Mirror of one committed add,
+    /// applied in spec order.
+    pub(crate) fn on_add(&mut self) -> u64 {
         let ext = self.next_ext;
         self.next_ext += 1;
         self.ext_to_dense
@@ -246,12 +258,8 @@ impl LinkIdMap {
 
     /// Registers the removal of dense id `dense` with swap-remove
     /// semantics (the tail link takes its id), returning the removed
-    /// link's external handle. Mirror of one
-    /// [`crate::Problem::remove_links`] step.
-    ///
-    /// # Panics
-    /// Panics if `dense` is out of range.
-    pub fn on_swap_remove(&mut self, dense: LinkId) -> u64 {
+    /// link's external handle. Mirror of one committed removal.
+    pub(crate) fn on_swap_remove(&mut self, dense: LinkId) -> u64 {
         let k = dense.index();
         let removed = self.dense_to_ext.swap_remove(k);
         self.ext_to_dense.remove(&removed);
@@ -294,25 +302,46 @@ impl LinkIdMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Problem;
+    use fading_geom::Rect;
+    use fading_net::{LinkSet, TopologyGenerator, UniformGenerator};
+
+    /// Commits one add at a fresh position; returns its external id.
+    fn add_one(p: &mut Problem, map: &mut LinkIdMap, x: f64) -> u64 {
+        let mut batch = MutationBatch::new();
+        batch.add(LinkSpec::new(
+            Point2::new(x, 5_000.0),
+            Point2::new(x + 3.0, 5_000.0),
+        ));
+        p.apply(&batch, map).unwrap().added[0]
+    }
+
+    /// Commits one removal by external id; returns the removed handle.
+    fn remove_one(p: &mut Problem, map: &mut LinkIdMap, ext: u64) -> u64 {
+        let mut batch = MutationBatch::new();
+        batch.remove(ext);
+        p.apply(&batch, map).unwrap().removed[0]
+    }
 
     #[test]
     fn add_and_remove_track_renumbering() {
+        let mut p = Problem::paper(UniformGenerator::paper(4).generate(1), 3.0);
         let mut map = LinkIdMap::with_len(4);
         assert_eq!(map.len(), 4);
         assert_eq!(map.external(LinkId(2)), 2);
-        let e4 = map.on_add();
+        let e4 = add_one(&mut p, &mut map, 0.0);
         assert_eq!(e4, 4);
         assert_eq!(map.dense(e4), Some(LinkId(4)));
 
         // Remove dense 1: tail (dense 4 = external 4) takes id 1.
-        assert_eq!(map.on_swap_remove(LinkId(1)), 1);
+        assert_eq!(remove_one(&mut p, &mut map, 1), 1);
         assert_eq!(map.dense(1), None);
         assert_eq!(map.dense(e4), Some(LinkId(1)));
         assert_eq!(map.external(LinkId(1)), e4);
         assert_eq!(map.len(), 4);
 
         // Removing the tail itself moves nothing.
-        assert_eq!(map.on_swap_remove(LinkId(3)), 3);
+        assert_eq!(remove_one(&mut p, &mut map, 3), 3);
         assert_eq!(map.dense(3), None);
         assert_eq!(map.len(), 3);
         assert_eq!(map.externals(), &[0, e4, 2]);
@@ -320,22 +349,26 @@ mod tests {
 
     #[test]
     fn external_ids_are_never_reused() {
+        let empty = LinkSet::new(Rect::square(10.0), vec![]);
+        let mut p = Problem::paper(empty, 3.0);
         let mut map = LinkIdMap::new();
-        let a = map.on_add();
-        map.on_swap_remove(LinkId(0));
-        let b = map.on_add();
+        let a = add_one(&mut p, &mut map, 0.0);
+        remove_one(&mut p, &mut map, a);
+        let b = add_one(&mut p, &mut map, 10.0);
         assert_ne!(a, b);
         assert_eq!(map.dense(b), Some(LinkId(0)));
     }
 
     #[test]
     fn drain_to_empty() {
+        let mut p = Problem::paper(UniformGenerator::paper(3).generate(2), 3.0);
         let mut map = LinkIdMap::with_len(3);
         while !map.is_empty() {
-            map.on_swap_remove(LinkId(0));
+            let ext = map.external(LinkId(0));
+            remove_one(&mut p, &mut map, ext);
         }
         assert_eq!(map.dense(0), None);
-        let e = map.on_add();
+        let e = add_one(&mut p, &mut map, 0.0);
         assert_eq!(e, 3);
         assert_eq!(map.dense(e), Some(LinkId(0)));
     }

@@ -101,8 +101,6 @@ pub struct Problem {
     /// Content-snapshot identity: a process-globally unique value
     /// assigned at construction and replaced by every mutation — one
     /// stamp per committed transaction ([`apply`](Self::apply) /
-    /// [`add_links`](Self::add_links) /
-    /// [`remove_links`](Self::remove_links) /
     /// [`update_link_rates`](Self::update_link_rates)), not per link.
     /// Equal stamps imply bit-identical content (clones share their
     /// source's stamp), so [`crate::SchedCtx`] memoization can skip its
@@ -230,86 +228,33 @@ impl Problem {
         (sub, mapping)
     }
 
-    /// Appends links to the live instance in place — the inverse of
-    /// [`Problem::restrict`] and the online engine's arrival path (see
-    /// `docs/online.md`). New links take dense ids `n..n+k` in spec
-    /// order. The interference state is *patched*, not rebuilt: the
-    /// dense matrix is relaid in place and only the new rows/columns
-    /// are evaluated; the sparse CSR gets the new links' rows/columns
-    /// via spatial-hash gathers plus an envelope reconcile, with
-    /// certified cuts only ever re-derived by the build formula (so
-    /// truncation bounds stay true and verdicts never flip). The
-    /// mutated instance is bit-identical (`PartialEq`) to a from-scratch
-    /// build over the final link set (`tests/mutate_equivalence.rs`).
-    ///
-    /// On a validation error (duplicate position, bad rate, non-finite
-    /// coordinate, bad power scale) nothing is changed.
-    pub fn add_links(&mut self, specs: &[LinkSpec]) -> Result<Vec<LinkId>, ValidationError> {
-        let _span = fading_obs::span!("problem.mutate.add");
-        self.validate_adds(specs, &[]).map_err(|e| match e {
-            MutationError::InvalidAdd { source, .. } => source,
-            MutationError::UnknownExternal(_) => unreachable!("add_links removes nothing"),
-        })?;
-        let n0 = self.links.len();
-        self.commit_batch(&[], specs);
-        fading_obs::counter!("problem.mutate.add.calls").incr();
-        fading_obs::counter!("problem.mutate.add.links").add(specs.len() as u64);
-        Ok((n0..self.links.len()).map(|i| LinkId(i as u32)).collect())
-    }
-
-    /// Removes links from the live instance in place — the online
-    /// engine's departure path. Ids are processed in descending order
-    /// after deduplication (so earlier removals cannot renumber later
-    /// victims); each removal has `Vec::swap_remove` semantics — the
-    /// current tail link takes the vacated id. Returns the dense ids in
-    /// the order actually applied, so a [`crate::LinkIdMap`] can mirror
-    /// the renumbering step by step.
-    ///
-    /// The interference state is patched in place (dense: one batched
-    /// column/row gather; sparse: targeted row edits plus one deferred
-    /// envelope reconcile) and is bit-identical to a from-scratch build
-    /// over the surviving links.
-    ///
-    /// # Panics
-    /// Panics if any id is out of range.
-    pub fn remove_links(&mut self, ids: &[LinkId]) -> Vec<LinkId> {
-        let _span = fading_obs::span!("problem.mutate.remove");
-        let mut order: Vec<LinkId> = ids.to_vec();
-        order.sort_unstable_by(|a, b| b.cmp(a));
-        order.dedup();
-        assert!(
-            order.first().is_none_or(|id| id.index() < self.links.len()),
-            "remove_links: id out of range"
-        );
-        self.commit_batch(&order, &[]);
-        fading_obs::counter!("problem.mutate.remove.calls").incr();
-        fading_obs::counter!("problem.mutate.remove.links").add(order.len() as u64);
-        order
-    }
-
     /// Applies a whole [`MutationBatch`] transactionally — removals by
     /// external id, adds by [`LinkSpec`] — committing with **one**
     /// envelope reconciliation and **one** spatial-index patch pass for
-    /// the entire batch (the per-slot entry point of the churn engine;
-    /// cost model in `docs/online.md`). The map is kept in sync and the
+    /// the entire batch. This is the only way a live instance changes
+    /// (cost model in `docs/online.md`). New links take dense ids
+    /// `n..n+k` in spec order; each removal has `Vec::swap_remove`
+    /// semantics, applied in descending dense-id order. The interference
+    /// state is patched, not rebuilt, and the result is bit-identical
+    /// (`PartialEq`) to a from-scratch build over the final link set
+    /// (`tests/mutate_equivalence.rs`). The map is kept in sync and the
     /// receipt reports the external handles involved.
     ///
-    /// Validation is atomic: on any error neither the problem nor the
-    /// map changes. An empty batch is a no-op and does not move the
+    /// Validation is atomic: on any error (including a `map` built for
+    /// another instance) neither the problem nor the map changes. An
+    /// empty batch is a no-op and does not move the
     /// [`stamp`](Self::stamp).
-    ///
-    /// # Panics
-    /// Panics if `map` does not mirror this problem (length mismatch).
     pub fn apply(
         &mut self,
         batch: &MutationBatch,
         map: &mut LinkIdMap,
     ) -> Result<BatchReceipt, MutationError> {
-        assert_eq!(
-            map.len(),
-            self.links.len(),
-            "LinkIdMap out of sync with the problem"
-        );
+        if map.len() != self.links.len() {
+            return Err(MutationError::MapOutOfSync {
+                map: map.len(),
+                problem: self.links.len(),
+            });
+        }
         if batch.is_empty() {
             return Ok(BatchReceipt::default());
         }

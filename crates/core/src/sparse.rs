@@ -114,7 +114,7 @@ pub struct SparseInterference {
     /// reserved extent of `row_cap[i]` slots. Extents never overlap;
     /// a fresh build packs them tight (`cap == len`), and in-place
     /// mutation grows rows by relocating full ones to the arena tail
-    /// (doubling their capacity) — see [`add_link`](Self::add_link).
+    /// (doubling their capacity) — see [`row_insert`](Self::row_insert).
     row_start: Vec<usize>,
     row_len: Vec<u32>,
     row_cap: Vec<u32>,
@@ -649,7 +649,7 @@ impl SparseInterference {
     /// same bits: `γ_th · (1/1) · x` left-associates to `γ_th · x`
     /// (the unscaled formula), and the truncation ratio
     /// `max_scale / p[j]` is `1/1 = 1`, the uniform default. Called by
-    /// `Problem::add_links` when the first non-uniform link arrives.
+    /// `Problem::apply` when the first non-uniform link arrives.
     pub(crate) fn materialize_powers(&mut self) {
         if self.powers.is_none() {
             self.powers = Some(vec![1.0; self.n]);
@@ -677,117 +677,6 @@ impl SparseInterference {
             }
         }
         Ok(())
-    }
-
-    /// Appends a link in place: the new link takes index `len()`. Cost
-    /// model (`docs/online.md`): one `O(N)` envelope scan, one hash
-    /// query for the new receiver's in-neighborhood, one inverse hash
-    /// query for the new sender's row, plus `O(degree)` factor
-    /// evaluations — versus the full `O(N·k)` transcendental rebuild.
-    /// For several mutations at once,
-    /// [`apply_batch`](Self::apply_batch) amortizes the `O(N)` terms
-    /// over the whole batch.
-    ///
-    /// The spec's `power_scale` extends the store's profile when one is
-    /// active; on a uniform store a non-unit scale is rejected with
-    /// [`ValidationError::PowerProfileMismatch`].
-    pub fn add_link(&mut self, spec: &LinkSpec) -> Result<(), ValidationError> {
-        self.validate_specs(std::slice::from_ref(spec), self.n)?;
-        let (sender, receiver) = (spec.sender, spec.receiver);
-        let length = sender.distance(&receiver);
-        let t = self.n;
-        self.senders.push(sender);
-        self.receivers.push(receiver);
-        self.lengths.push(length);
-        if let Some(p) = &mut self.powers {
-            p.push(spec.power_scale);
-        }
-        self.n = t + 1;
-        // Reconcile existing radii against the grown envelope *before*
-        // wiring the new link, so its row/column are gathered under the
-        // final radii. The new sender is not yet in the hash, so any
-        // annulus edits touch only old pairs.
-        self.refresh_envelope();
-        let ratio = self.powers.as_ref().map_or(1.0, |p| self.max_scale / p[t]);
-        let (r, c) = truncation_for(&self.channel, length, ratio, self.tau, self.diameter);
-        self.radius.push(r);
-        self.cut.push(c);
-        self.max_radius = self.max_radius.max(r);
-        // Column t: old senders within the new receiver's radius. The
-        // new receiver id is the maximum, so each insert lands at its
-        // row's tail. The reusable scratch keeps the warm mutation path
-        // allocation-free.
-        let mut col = std::mem::take(&mut self.scratch);
-        col.clear();
-        self.sender_hash
-            .for_each_in_radius(&receiver, r, |i| col.push(i));
-        for i in col.drain(..) {
-            let f = pair_factor(
-                &self.channel,
-                &self.senders,
-                &self.receivers,
-                &self.lengths,
-                self.powers.as_deref(),
-                i as usize,
-                t,
-            );
-            self.row_insert(i as usize, t as u32, f);
-        }
-        // Row t: receivers whose radius ball covers the new sender —
-        // the inverse query, answered by the receiver hash at the
-        // conservative `max_radius` bound and filtered with the exact
-        // `d² ≤ r²` predicate (the same one the fresh build's hash
-        // gather applies), then sorted so the CSR row invariant holds.
-        col.clear();
-        self.receiver_hash
-            .for_each_in_radius(&sender, self.max_radius, |j| {
-                let ju = j as usize;
-                if sender.distance_sq(&self.receivers[ju]) <= self.radius[ju] * self.radius[ju] {
-                    col.push(j);
-                }
-            });
-        col.sort_unstable();
-        let lo = self.arena_receivers.len();
-        for j in col.drain(..) {
-            let f = pair_factor(
-                &self.channel,
-                &self.senders,
-                &self.receivers,
-                &self.lengths,
-                self.powers.as_deref(),
-                t,
-                j as usize,
-            );
-            self.arena_receivers.push(j);
-            self.arena_factors.push(f);
-        }
-        self.scratch = col;
-        self.row_start.push(lo);
-        let len = (self.arena_receivers.len() - lo) as u32;
-        self.row_len.push(len);
-        self.row_cap.push(len);
-        self.sender_hash.insert(sender);
-        self.receiver_hash.insert(receiver);
-        self.exact = self.cut.iter().all(|&c| c == 0.0);
-        self.maybe_compact();
-        Ok(())
-    }
-
-    /// Removes link `k` in place with `Vec::swap_remove` semantics (the
-    /// link at `len()−1` takes index `k`), mirroring
-    /// [`LinkSet::swap_remove`]. Touches only the rows that actually
-    /// store the removed receiver or the renumbered one — `O(k)` row
-    /// edits plus the `O(N)` envelope scan.
-    ///
-    /// # Panics
-    /// Panics if `k` is out of bounds.
-    pub fn swap_remove_link(&mut self, k: usize) {
-        self.remove_one(k);
-        // Bbox or max power scale may have shrunk; pull every radius
-        // back to the fresh-build formula.
-        self.refresh_envelope();
-        self.exact = self.cut.iter().all(|&c| c == 0.0);
-        self.maybe_compact();
     }
 
     /// The row/column edits of one swap-remove, with the envelope
@@ -851,17 +740,15 @@ impl SparseInterference {
     /// Applies a whole transaction — removals (dense ids, strictly
     /// descending) then appended links (taking ids `n..n+k` in spec
     /// order) — with **one** envelope reconciliation and **one**
-    /// compaction check for the entire batch.
+    /// compaction check for the entire batch. The only mutation path
+    /// of the store; `Problem::apply` is its one caller.
     ///
-    /// Equivalent to the matching sequence of
-    /// [`swap_remove_link`](Self::swap_remove_link) /
-    /// [`add_link`](Self::add_link) calls, and hence to a fresh build
-    /// over the final link set: every intermediate state still
-    /// satisfies the membership invariant *with respect to the current
-    /// `radius` array*, stored factors are pure per-pair values
-    /// independent of wiring order, and the final reconcile pulls the
-    /// array back to the fresh-build formula once. Each new link's row
-    /// and column are local hash queries (see
+    /// Equivalent to a fresh build over the final link set: every
+    /// intermediate state still satisfies the membership invariant
+    /// *with respect to the current `radius` array*, stored factors are
+    /// pure per-pair values independent of wiring order, and the final
+    /// reconcile pulls the array back to the fresh-build formula once.
+    /// Each new link's row and column are local hash queries (see
     /// [`wire_new_links`](Self::wire_new_links)), so a `k`-link batch
     /// costs `O(N + k·degree)` — the `O(N)` envelope scan paid once for
     /// the whole transaction, however the batch is spread over the
@@ -871,7 +758,7 @@ impl SparseInterference {
     ///
     /// # Panics
     /// Panics if `removes` is not strictly descending or out of range.
-    pub fn apply_batch(
+    pub(crate) fn apply_batch(
         &mut self,
         removes: &[LinkId],
         adds: &[LinkSpec],
@@ -941,8 +828,10 @@ impl SparseInterference {
     /// scans (or an `O(N)`-per-batch sweep that degenerates to visiting
     /// every link once the batch's bounding circle covers the region).
     fn wire_new_links(&mut self, n0: usize) {
+        // One reusable scratch serves both gathers (the column drains
+        // it before the row refills it), so the warm path allocates
+        // nothing per batch.
         let mut col = std::mem::take(&mut self.scratch);
-        let mut hits: Vec<u32> = Vec::with_capacity(64);
         for t in n0..self.n {
             let (sender, receiver) = (self.senders[t], self.receivers[t]);
             // Column t: already-wired senders (old plus earlier new —
@@ -972,18 +861,17 @@ impl SparseInterference {
             // the batch's spatial spread: a slot's worth of scattered
             // churn arrivals costs `O(k · neighborhood)`, not the
             // `O(k · N)` a per-link receiver scan would pay.
-            hits.clear();
             self.receiver_hash
                 .for_each_in_radius(&sender, self.max_radius, |j| {
                     let ju = j as usize;
                     if sender.distance_sq(&self.receivers[ju]) <= self.radius[ju] * self.radius[ju]
                     {
-                        hits.push(j);
+                        col.push(j);
                     }
                 });
-            hits.sort_unstable();
+            col.sort_unstable();
             let lo = self.arena_receivers.len();
-            for &j in &hits {
+            for j in col.drain(..) {
                 let f = pair_factor(
                     &self.channel,
                     &self.senders,
@@ -1488,14 +1376,15 @@ mod tests {
             );
             for t in 60..90 {
                 let l = full.link(LinkId(t));
-                s.add_link(&LinkSpec::new(l.sender, l.receiver)).unwrap();
+                s.apply_batch(&[], &[LinkSpec::new(l.sender, l.receiver)])
+                    .unwrap();
                 if t % 9 == 0 || t == 89 {
                     assert_eq!(s, rebuild_of(&s), "rtol {rtol} after add {t}");
                 }
             }
             // Interleave removals (interior, tail, repeated) with adds.
-            for k in [3usize, 88, 0, 40, 40] {
-                s.swap_remove_link(k);
+            for k in [3u32, 88, 0, 40, 40] {
+                s.apply_batch(&[LinkId(k)], &[]).unwrap();
                 assert_eq!(s, rebuild_of(&s), "rtol {rtol} after remove {k}");
             }
         }
@@ -1521,10 +1410,13 @@ mod tests {
         assert!(!InterferenceModel::is_exact(&s), "0.5·γ_ε must truncate");
         let extra = UniformGenerator::paper(80).generate(19);
         let l = extra.link(LinkId(75));
-        s.add_link(&LinkSpec::new(l.sender, l.receiver).with_power_scale(4.0))
-            .unwrap();
+        s.apply_batch(
+            &[],
+            &[LinkSpec::new(l.sender, l.receiver).with_power_scale(4.0)],
+        )
+        .unwrap();
         assert_eq!(s, rebuild_of(&s), "after high-power add");
-        s.swap_remove_link(70);
+        s.apply_batch(&[LinkId(70)], &[]).unwrap();
         assert_eq!(s, rebuild_of(&s), "after high-power remove");
     }
 
@@ -1544,7 +1436,8 @@ mod tests {
         let keep: Vec<LinkId> = (0..60).map(LinkId).collect();
         let mut sub = parent.restrict(&keep);
         let l = links.link(LinkId(72));
-        sub.add_link(&LinkSpec::new(l.sender, l.receiver)).unwrap();
+        sub.apply_batch(&[], &[LinkSpec::new(l.sender, l.receiver)])
+            .unwrap();
         assert_eq!(sub, rebuild_of(&sub));
     }
 
@@ -1555,12 +1448,13 @@ mod tests {
         let mut s =
             SparseInterference::build(&links, &channel, gamma_eps(0.01), SparseConfig::default());
         while !s.is_empty() {
-            s.swap_remove_link(s.len() / 2);
+            s.apply_batch(&[LinkId((s.len() / 2) as u32)], &[]).unwrap();
         }
         assert!(s.is_empty());
         for i in 0..25 {
             let l = links.link(LinkId(i));
-            s.add_link(&LinkSpec::new(l.sender, l.receiver)).unwrap();
+            s.apply_batch(&[], &[LinkSpec::new(l.sender, l.receiver)])
+                .unwrap();
         }
         assert_eq!(s, rebuild_of(&s));
         assert!(InterferenceModel::stored_factors(&s) > 0);
@@ -1569,8 +1463,8 @@ mod tests {
     #[test]
     fn batch_matches_sequential_and_fresh_build() {
         // apply_batch defers the envelope reconcile and compaction to
-        // commit time; the result must still be bit-identical to the
-        // per-mutation path (and hence the fresh build). k = 50 > 32
+        // commit time; the result must still be bit-identical to a
+        // chain of one-mutation batches (and hence the fresh build). k = 50 > 32
         // also exercises the transient-hash row gather.
         for rtol in [SparseConfig::DEFAULT_TAIL_RTOL, 0.5] {
             let full = UniformGenerator::paper(90).generate(29);
@@ -1594,10 +1488,12 @@ mod tests {
                 .collect();
             let mut sequential = built.clone();
             for &k in &removes {
-                sequential.swap_remove_link(k.index());
+                sequential.apply_batch(&[k], &[]).unwrap();
             }
             for spec in &specs {
-                sequential.add_link(spec).unwrap();
+                sequential
+                    .apply_batch(&[], std::slice::from_ref(spec))
+                    .unwrap();
             }
             let mut batched = built.clone();
             batched.apply_batch(&removes, &specs).unwrap();
@@ -1625,7 +1521,10 @@ mod tests {
             Err(ValidationError::PowerProfileMismatch { scale: 2.0 })
         );
         assert!(matches!(
-            s.add_link(&LinkSpec::new(l.sender, l.receiver).with_power_scale(f64::NAN)),
+            s.apply_batch(
+                &[],
+                &[LinkSpec::new(l.sender, l.receiver).with_power_scale(f64::NAN)]
+            ),
             Err(ValidationError::BadPowerScale {
                 id: LinkId(30),
                 scale,
@@ -1686,7 +1585,7 @@ mod tests {
     fn empty_powers_do_not_poison_the_envelope() {
         // A zero-link store with an explicit (empty) power profile used
         // to set max_scale = f64::MIN via the fold identity; the first
-        // add_link then reconciled against garbage. Envelope values must
+        // add then reconciled against garbage. Envelope values must
         // match the uniform-power empty store exactly.
         assert_eq!(max_power_scale(Some(&[])), 1.0);
         assert_eq!(max_power_scale(None), 1.0);
@@ -1705,8 +1604,8 @@ mod tests {
         let links = UniformGenerator::paper(6).generate(23);
         for i in 0..6 {
             let l = links.link(LinkId(i));
-            s.add_link(&LinkSpec::new(l.sender, l.receiver).with_power_scale(1.0 + i as f64 * 0.5))
-                .unwrap();
+            let spec = LinkSpec::new(l.sender, l.receiver).with_power_scale(1.0 + i as f64 * 0.5);
+            s.apply_batch(&[], &[spec]).unwrap();
         }
         assert_eq!(s, rebuild_of(&s));
     }

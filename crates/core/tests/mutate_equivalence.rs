@@ -1,9 +1,9 @@
 //! Mutation substrate equivalence (the online-engine contract, see
 //! `docs/online.md`).
 //!
-//! `Problem::add_links` / `Problem::remove_links` patch a live
-//! instance's interference state in place — dense matrix relayout,
-//! sparse CSR row edits plus an envelope reconcile. These properties
+//! `Problem::apply` patches a live instance's interference state in
+//! place — dense matrix relayout, sparse CSR row edits plus an
+//! envelope reconcile. These properties
 //! pin that a mutated instance is *indistinguishable* from a
 //! from-scratch build over the final link set: `PartialEq` (which
 //! compares every stored factor bit-for-bit), schedules from a warm
@@ -59,15 +59,16 @@ fn rebuild(p: &Problem) -> Problem {
 /// `w`-derived offset), kind 2 → remove a `w`-derived victim. Kind 1
 /// adds with a non-uniform power scale, exercising the
 /// uniform→materialized profile transition when the instance started
-/// without power control.
+/// without power control. Each op commits as its own one-op batch.
 type Op = (u8, f64, f64, f64);
 
-fn apply(problem: &mut Problem, op: Op, tag: usize) {
+fn apply(problem: &mut Problem, map: &mut LinkIdMap, op: Op, tag: usize) {
     let (kind, x, y, w) = op;
+    let mut batch = MutationBatch::new();
     match kind {
         2 if problem.len() > 1 => {
             let victim = LinkId((w.to_bits() % problem.len() as u64) as u32);
-            problem.remove_links(&[victim]);
+            batch.remove(map.external(victim));
         }
         2 => {} // never empty the instance
         _ => {
@@ -83,11 +84,12 @@ fn apply(problem: &mut Problem, op: Op, tag: usize) {
             } else {
                 spec
             };
-            // Coincident positions are rejected with the instance
-            // unchanged — a legal no-op for this property.
-            let _ = problem.add_links(&[spec]);
+            batch.add(spec);
         }
     }
+    // Coincident positions are rejected with the instance unchanged —
+    // a legal no-op for this property.
+    let _ = problem.apply(&batch, map);
 }
 
 proptest! {
@@ -117,6 +119,7 @@ proptest! {
             BackendChoice::Dense
         };
         let mut problem = initial(n, seed, ALPHAS[alpha_idx], backend, powered_bit == 1);
+        let mut map = LinkIdMap::with_len(n);
         let mut ctx = SchedCtx::new();
         let schedulers: [&dyn Scheduler; 3] = [&Rle::new(), &Ldp::new(), &GreedyRate];
         // Warm the ctx memos on the pre-mutation instance so stale
@@ -124,7 +127,7 @@ proptest! {
         schedulers[0].schedule_in(&problem, &mut ctx);
 
         for (tag, &op) in ops.iter().enumerate() {
-            apply(&mut problem, op, tag);
+            apply(&mut problem, &mut map, op, tag);
             let rebuilt = rebuild(&problem);
             prop_assert_eq!(&problem, &rebuilt, "state diverged after op {}", tag);
             // Rotate one scheduler per op (all three at the end).
@@ -167,9 +170,11 @@ proptest! {
         let mut sparse = Problem::builder(links, params)
             .backend(BackendChoice::Sparse(SparseConfig { tail_rtol: TAIL_RTOLS[rtol_idx] }))
             .build();
+        let mut dense_map = LinkIdMap::with_len(n);
+        let mut sparse_map = LinkIdMap::with_len(n);
         for (tag, &op) in ops.iter().enumerate() {
-            apply(&mut dense, op, tag);
-            apply(&mut sparse, op, tag);
+            apply(&mut dense, &mut dense_map, op, tag);
+            apply(&mut sparse, &mut sparse_map, op, tag);
             prop_assert_eq!(dense.links(), sparse.links());
             // Every pairwise factor is exact under both backends.
             for a in dense.links().ids() {
@@ -195,8 +200,8 @@ proptest! {
     /// The transactional path: a whole `MutationBatch` committed by
     /// `Problem::apply` (one envelope reconciliation, one spatial-index
     /// patch pass) lands bit-identically on the same state as applying
-    /// the same mutations one call at a time — and both equal a
-    /// from-scratch build. Batches mix adds (uniform and powered),
+    /// the same mutations as a chain of one-op batches — and both equal
+    /// a from-scratch build. Batches mix adds (uniform and powered),
     /// removals by external id, duplicate removals, and empty batches,
     /// across both backends and both truncation policies.
     #[test]
@@ -271,16 +276,17 @@ proptest! {
                 prop_assert_ne!(batched.stamp(), stamp_before, "commit must move the stamp");
             }
             // Sequential mirror: the same removals in the order the
-            // batch applied them, one call each, then adds one by one.
+            // batch applied them, one batch each, then adds one by one.
+            let mut one = MutationBatch::new();
             for &ext in &receipt.removed {
-                let dense = seq_map.dense(ext).expect("live on the sequential side");
-                for id in seq.remove_links(&[dense]) {
-                    seq_map.on_swap_remove(id);
-                }
+                one.clear();
+                one.remove(ext);
+                seq.apply(&one, &mut seq_map).unwrap();
             }
             for spec in batch.adds() {
-                seq.add_links(std::slice::from_ref(spec)).unwrap();
-                seq_map.on_add();
+                one.clear();
+                one.add(*spec);
+                seq.apply(&one, &mut seq_map).unwrap();
             }
             prop_assert_eq!(&batched, &seq, "batch != sequential");
             prop_assert_eq!(&bat_map, &seq_map, "maps diverged");
@@ -347,47 +353,92 @@ fn transactional_batch_contract() {
     assert_eq!(p, snapshot, "rejected batch must be a no-op");
 
     // The former power-profile panic is now a typed error.
+    let mut batch = MutationBatch::new();
+    batch.add(
+        LinkSpec::new(Point2::new(9_000.0, 1.0), Point2::new(9_002.0, 1.0)).with_power_scale(-1.0),
+    );
     assert!(matches!(
-        p.add_links(&[
-            LinkSpec::new(Point2::new(9_000.0, 1.0), Point2::new(9_002.0, 1.0))
-                .with_power_scale(-1.0),
-        ]),
-        Err(ValidationError::BadPowerScale { .. })
+        p.apply(&batch, &mut map),
+        Err(MutationError::InvalidAdd {
+            slot: 0,
+            source: ValidationError::BadPowerScale { .. },
+        })
     ));
     assert_eq!(p, snapshot);
 }
 
+/// A map built for another instance is a typed error, checked before
+/// anything else (even an empty batch): neither the problem nor the
+/// map changes.
+#[test]
+fn out_of_sync_map_is_a_typed_error() {
+    let mut p = Problem::paper(UniformGenerator::paper(6).generate(9), 3.0);
+    let before = p.clone();
+    let stamp = p.stamp();
+    let mut map = LinkIdMap::with_len(5);
+    let map_before = map.clone();
+    let mut nonempty = MutationBatch::new();
+    nonempty
+        .add(LinkSpec::new(
+            Point2::new(9_000.0, 1.0),
+            Point2::new(9_002.0, 1.0),
+        ))
+        .remove(0);
+    for b in [MutationBatch::new(), nonempty] {
+        assert_eq!(
+            p.apply(&b, &mut map),
+            Err(MutationError::MapOutOfSync { map: 5, problem: 6 })
+        );
+        assert_eq!(p, before);
+        assert_eq!(p.stamp(), stamp);
+        assert_eq!(map, map_before);
+    }
+}
+
 /// Batch semantics and error atomicity: ids come back in spec order,
 /// a mid-batch validation error leaves the instance untouched, and
-/// `remove_links` reports the descending order it applied.
+/// the receipt reports removals in the descending order applied.
 #[test]
 fn batch_api_contract() {
     let mut p = Problem::paper(UniformGenerator::paper(6).generate(9), 3.0);
+    let mut map = LinkIdMap::with_len(6);
     let before = p.clone();
     let stamp_before = p.stamp();
 
-    let specs = [
-        LinkSpec::new(Point2::new(10.0, 10.0), Point2::new(12.0, 10.0)),
-        LinkSpec::new(Point2::new(20.0, 10.0), Point2::new(22.0, 10.0)).with_rate(2.0),
-    ];
-    let ids = p.add_links(&specs).unwrap();
-    assert_eq!(ids, vec![LinkId(6), LinkId(7)]);
+    let mut batch = MutationBatch::new();
+    batch
+        .add(LinkSpec::new(
+            Point2::new(10.0, 10.0),
+            Point2::new(12.0, 10.0),
+        ))
+        .add(LinkSpec::new(Point2::new(20.0, 10.0), Point2::new(22.0, 10.0)).with_rate(2.0));
+    let receipt = p.apply(&batch, &mut map).unwrap();
+    assert_eq!(receipt.added, vec![6, 7]);
+    assert_eq!(map.dense(6), Some(LinkId(6)));
+    assert_eq!(map.dense(7), Some(LinkId(7)));
     assert_eq!(p.len(), 8);
     assert_ne!(p.stamp(), stamp_before, "mutation must move the stamp");
     assert_eq!(p.rate(LinkId(7)), 2.0);
 
     // Second spec duplicates the first's sender: nothing is applied.
-    let bad = [
-        LinkSpec::new(Point2::new(30.0, 10.0), Point2::new(32.0, 10.0)),
-        LinkSpec::new(Point2::new(30.0, 10.0), Point2::new(34.0, 10.0)),
-    ];
+    let mut bad = MutationBatch::new();
+    bad.add(LinkSpec::new(
+        Point2::new(30.0, 10.0),
+        Point2::new(32.0, 10.0),
+    ))
+    .add(LinkSpec::new(
+        Point2::new(30.0, 10.0),
+        Point2::new(34.0, 10.0),
+    ));
     let snapshot = p.clone();
-    assert!(p.add_links(&bad).is_err());
+    assert!(p.apply(&bad, &mut map).is_err());
     assert_eq!(p, snapshot, "failed batch must be a no-op");
 
     // Duplicate ids are applied once, in descending order.
-    let order = p.remove_links(&[LinkId(7), LinkId(6), LinkId(7)]);
-    assert_eq!(order, vec![LinkId(7), LinkId(6)]);
+    let mut removes = MutationBatch::new();
+    removes.remove(7).remove(6).remove(7);
+    let receipt = p.apply(&removes, &mut map).unwrap();
+    assert_eq!(receipt.removed, vec![7, 6]);
     assert_eq!(p, before, "add then remove must round-trip");
 }
 
@@ -405,12 +456,13 @@ fn power_profile_materialization_is_exact() {
             .build();
         let uniform = p.clone();
         assert!(p.power_scales().is_none());
-        let ids = p
-            .add_links(&[
-                LinkSpec::new(Point2::new(500.0, 500.0), Point2::new(503.0, 500.0))
-                    .with_power_scale(2.5),
-            ])
-            .unwrap();
+        let mut map = LinkIdMap::with_len(12);
+        let mut batch = MutationBatch::new();
+        batch.add(
+            LinkSpec::new(Point2::new(500.0, 500.0), Point2::new(503.0, 500.0))
+                .with_power_scale(2.5),
+        );
+        let receipt = p.apply(&batch, &mut map).unwrap();
         let scales = p.power_scales().expect("profile must materialize");
         assert_eq!(scales.len(), 13);
         assert!(scales[..12].iter().all(|&s| s == 1.0));
@@ -426,7 +478,9 @@ fn power_profile_materialization_is_exact() {
         }
         // And the whole state still equals a from-scratch powered build.
         assert_eq!(p, rebuild(&p));
-        p.remove_links(&ids);
+        let mut undo = MutationBatch::new();
+        undo.remove(receipt.added[0]);
+        p.apply(&undo, &mut map).unwrap();
         assert_eq!(
             p.power_scales(),
             Some(vec![1.0; 12].as_slice()),

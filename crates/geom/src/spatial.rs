@@ -435,81 +435,6 @@ impl SpatialGrid {
         self.points.is_empty()
     }
 
-    /// Appends a point in place — the incremental counterpart of a full
-    /// [`rebuild`](Self::rebuild) over the extended array. The new index
-    /// is the maximum, so placing it at the end of its cell's CSR
-    /// segment keeps the segment ascending, which is the property the
-    /// bucket-order equivalence contract with [`SpatialHash`] rests on.
-    /// Cost: one `memmove` of the items tail plus an offset walk —
-    /// no rehash of existing points.
-    ///
-    /// # Panics
-    /// Panics unless the grid was built (or rebuilt) at least once —
-    /// the cell size comes from that build.
-    pub fn insert(&mut self, p: Point2) -> u32 {
-        assert!(
-            self.cell.is_finite() && self.cell > 0.0,
-            "insert requires a prior rebuild (cell size unset)"
-        );
-        let idx = self.points.len() as u32;
-        self.points.push(p);
-        let key = SpatialHash::key(&p, self.cell);
-        match self.slots.get(&key) {
-            Some(&slot) => {
-                let at = self.starts[slot as usize + 1] as usize;
-                self.items.insert(at, idx);
-                for s in &mut self.starts[slot as usize + 1..] {
-                    *s += 1;
-                }
-            }
-            None => {
-                // A brand-new cell gets the next CSR slot, whose
-                // segment sits at the very end of `items`.
-                self.slots.insert(key, self.slots.len() as u32);
-                self.items.push(idx);
-                self.starts.push(self.items.len() as u32);
-            }
-        }
-        idx
-    }
-
-    /// Removes point `i` in place with `Vec::swap_remove` semantics
-    /// (the point at `len() - 1` takes index `i`), mirroring
-    /// [`SpatialHash::swap_remove`]: every cell segment stays in
-    /// ascending index order, so queries keep visiting points in the
-    /// exact order a fresh build would. Emptied cells keep their (now
-    /// zero-width) CSR slot — harmless to queries, reclaimed by the
-    /// next full rebuild.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of bounds.
-    pub fn swap_remove(&mut self, i: u32) {
-        let last = (self.points.len() - 1) as u32;
-        // Drop `i` from its segment.
-        let key = SpatialHash::key(&self.points[i as usize], self.cell);
-        let slot = self.slots[&key] as usize;
-        let (lo, hi) = (self.starts[slot] as usize, self.starts[slot + 1] as usize);
-        let at = lo + self.items[lo..hi].partition_point(|&x| x < i);
-        debug_assert_eq!(self.items.get(at), Some(&i));
-        self.items.remove(at);
-        for s in &mut self.starts[slot + 1..] {
-            *s -= 1;
-        }
-        if i != last {
-            // Rename `last` → `i` inside its segment: the entry is the
-            // segment maximum (tail position); reinsert at the new
-            // index's sorted position within the same segment.
-            let key = SpatialHash::key(&self.points[last as usize], self.cell);
-            let slot = self.slots[&key] as usize;
-            let (lo, hi) = (self.starts[slot] as usize, self.starts[slot + 1] as usize);
-            debug_assert_eq!(self.items.get(hi - 1), Some(&last));
-            let at = lo + self.items[lo..hi - 1].partition_point(|&x| x < i);
-            self.items[at..hi].rotate_right(1);
-            self.items[at] = i;
-        }
-        self.points.swap_remove(i as usize);
-    }
-
     /// Calls `f` for each point index within `radius` of `center`, in
     /// the same order as [`SpatialHash::for_each_in_radius`].
     pub fn for_each_in_radius<F: FnMut(u32)>(&self, center: &Point2, radius: f64, mut f: F) {
@@ -766,13 +691,15 @@ mod tests {
     }
 
     /// The mutation contract: after any interleaving of inserts and
-    /// swap-removes, both structures must be indistinguishable from a
-    /// fresh build over the mutated point array — same members *and*
-    /// the same visit order, since schedulers depend on order for
-    /// bit-identical results.
+    /// swap-removes, the hash must be indistinguishable from a fresh
+    /// build over the mutated point array — same members *and* the same
+    /// visit order, since schedulers depend on order for bit-identical
+    /// results. The grid is only ever rebuilt (that is how `SchedCtx`
+    /// uses it), so a warm `rebuild` over the mutated points must visit
+    /// them in that same order too.
     fn assert_matches_fresh_build(
         hash: &SpatialHash,
-        grid: &SpatialGrid,
+        grid: &mut SpatialGrid,
         pts: &[Point2],
         cell: f64,
         seed: u64,
@@ -780,6 +707,7 @@ mod tests {
         assert_eq!(hash.points(), pts);
         let fresh = SpatialHash::build(pts, cell);
         assert_eq!(hash, &fresh, "mutated hash differs from fresh build");
+        grid.rebuild(pts, cell);
         for (i, c) in random_points(20, seed).iter().enumerate() {
             let r = 0.5 + (i as f64) % 30.0;
             let mut want = Vec::new();
@@ -802,15 +730,13 @@ mod tests {
         grid.rebuild(&pts, cell);
         for (k, p) in random_points(40, 22).into_iter().enumerate() {
             let got_h = hash.insert(p);
-            let got_g = grid.insert(p);
             assert_eq!(got_h as usize, pts.len());
-            assert_eq!(got_g, got_h);
             pts.push(p);
             if k % 7 == 0 {
-                assert_matches_fresh_build(&hash, &grid, &pts, cell, 23 + k as u64);
+                assert_matches_fresh_build(&hash, &mut grid, &pts, cell, 23 + k as u64);
             }
         }
-        assert_matches_fresh_build(&hash, &grid, &pts, cell, 99);
+        assert_matches_fresh_build(&hash, &mut grid, &pts, cell, 99);
     }
 
     #[test]
@@ -824,13 +750,12 @@ mod tests {
         for k in 0..60 {
             let i = rng.gen_range(0..pts.len()) as u32;
             hash.swap_remove(i);
-            grid.swap_remove(i);
             pts.swap_remove(i as usize);
             if k % 7 == 0 {
-                assert_matches_fresh_build(&hash, &grid, &pts, cell, 33 + k as u64);
+                assert_matches_fresh_build(&hash, &mut grid, &pts, cell, 33 + k as u64);
             }
         }
-        assert_matches_fresh_build(&hash, &grid, &pts, cell, 98);
+        assert_matches_fresh_build(&hash, &mut grid, &pts, cell, 98);
     }
 
     #[test]
@@ -843,18 +768,16 @@ mod tests {
         while !pts.is_empty() {
             let i = (pts.len() / 2) as u32;
             hash.swap_remove(i);
-            grid.swap_remove(i);
             pts.swap_remove(i as usize);
-            assert_matches_fresh_build(&hash, &grid, &pts, cell, pts.len() as u64);
+            assert_matches_fresh_build(&hash, &mut grid, &pts, cell, pts.len() as u64);
         }
         assert!(hash.buckets.is_empty(), "empty buckets must be dropped");
         // Refill after draining: mutation must not wedge the structures.
         for p in random_points(9, 42) {
             hash.insert(p);
-            grid.insert(p);
             pts.push(p);
         }
-        assert_matches_fresh_build(&hash, &grid, &pts, cell, 43);
+        assert_matches_fresh_build(&hash, &mut grid, &pts, cell, 43);
     }
 
     proptest! {
@@ -879,7 +802,6 @@ mod tests {
                     0 => {
                         let p = Point2::new(x, y);
                         hash.insert(p);
-                        grid.insert(p);
                         pts.push(p);
                     }
                     1 if !pts.is_empty() => {
@@ -888,7 +810,6 @@ mod tests {
                         let i = ((x / 100.0) * pts.len() as f64) as u32;
                         let i = i.min(pts.len() as u32 - 1);
                         hash.swap_remove(i);
-                        grid.swap_remove(i);
                         pts.swap_remove(i as usize);
                     }
                     _ => {
@@ -896,6 +817,7 @@ mod tests {
                         let mut got = hash.query_radius(&c, r);
                         got.sort_unstable();
                         prop_assert_eq!(got, brute_force_radius(&pts, &c, r));
+                        grid.rebuild(&pts, cell);
                         let mut from_grid = Vec::new();
                         grid.for_each_in_radius(&c, r, |id| from_grid.push(id));
                         let mut from_hash = Vec::new();

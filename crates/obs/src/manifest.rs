@@ -16,8 +16,8 @@ use std::time::Instant;
 /// The schema version written into every manifest, bumped on
 /// incompatible changes (see `docs/observability.md`).
 /// Version 2 added `artifacts`; version 3 added derived p50/p95/p99
-/// quantiles to every histogram snapshot. Older manifests still
-/// deserialize (missing quantiles are recomputed from bucket counts).
+/// quantiles to every histogram snapshot. Only the current version
+/// deserializes: older manifests lack fields the reader requires.
 pub const MANIFEST_VERSION: u64 = 3;
 
 /// A file the run produced, pinned by content hash so results and
@@ -34,7 +34,7 @@ pub struct Artifact {
 }
 
 /// A complete description of one finished run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunManifest {
     /// Schema version ([`MANIFEST_VERSION`]).
     pub version: u64,
@@ -55,42 +55,8 @@ pub struct RunManifest {
     /// Hierarchical span timings.
     pub spans: Vec<SpanNode>,
     /// Files the run produced (decision traces, schedules), with
-    /// content hashes. Empty in version-1 manifests.
+    /// content hashes.
     pub artifacts: Vec<Artifact>,
-}
-
-// The vendored serde derive requires every named field to be present;
-// this manual impl instead defaults `artifacts` (added in version 2)
-// to empty, so version-1 manifests still load.
-impl Deserialize for RunManifest {
-    fn deserialize_node(node: &serde::Node) -> Result<Self, serde::DeError> {
-        fn field<T: Deserialize>(node: &serde::Node, name: &str) -> Result<T, serde::DeError> {
-            Deserialize::deserialize_node(
-                node.get(name)
-                    .ok_or_else(|| serde::DeError(format!("missing field `{name}`")))?,
-            )
-        }
-        if !matches!(node, serde::Node::Map(_)) {
-            return Err(serde::DeError(
-                "invalid type: expected a map for struct RunManifest".to_string(),
-            ));
-        }
-        Ok(Self {
-            version: field(node, "version")?,
-            name: field(node, "name")?,
-            git_describe: field(node, "git_describe")?,
-            build_profile: field(node, "build_profile")?,
-            seed: field(node, "seed")?,
-            config: field(node, "config")?,
-            wall_time_ms: field(node, "wall_time_ms")?,
-            metrics: field(node, "metrics")?,
-            spans: field(node, "spans")?,
-            artifacts: match node.get("artifacts") {
-                None => Vec::new(),
-                Some(n) => Deserialize::deserialize_node(n)?,
-            },
-        })
-    }
 }
 
 impl RunManifest {
@@ -271,18 +237,6 @@ mod tests {
         let parsed: RunManifest = serde_json::from_str(golden).unwrap();
         assert_eq!(parsed, fixture());
         assert_eq!(fixture().to_json().trim(), golden.trim());
-    }
-
-    #[test]
-    fn version_1_manifests_without_artifacts_still_deserialize() {
-        let mut v1 = fixture();
-        v1.version = 1;
-        v1.artifacts.clear();
-        // A version-1 document has no `artifacts` key at all.
-        let json = v1.to_json().replace(",\n  \"artifacts\": []", "");
-        assert!(!json.contains("artifacts"), "{json}");
-        let back: RunManifest = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, v1);
     }
 
     #[test]

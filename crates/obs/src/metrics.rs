@@ -196,7 +196,7 @@ impl Histogram {
 /// the q-quantile is the smallest bucket upper bound whose cumulative
 /// count reaches `ceil(q × count)`, or `None` when the histogram is
 /// empty or the rank falls into the unbounded overflow bucket.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
     /// Bucket upper bounds (finite, increasing).
     pub bounds: Vec<f64>,
@@ -260,47 +260,6 @@ impl HistogramSnapshot {
             }
         }
         None // rank falls in the overflow bucket
-    }
-}
-
-// Manual impl so snapshots serialized before the derived-quantile
-// fields existed (manifest versions <= 2) still load: missing
-// quantiles are recomputed from the bucket counts. (The vendored
-// serde derive requires every named field to be present.)
-impl Deserialize for HistogramSnapshot {
-    fn deserialize_node(node: &serde::Node) -> Result<Self, serde::DeError> {
-        fn field<T: Deserialize>(node: &serde::Node, name: &str) -> Result<T, serde::DeError> {
-            Deserialize::deserialize_node(
-                node.get(name)
-                    .ok_or_else(|| serde::DeError(format!("missing field `{name}`")))?,
-            )
-        }
-        if !matches!(node, serde::Node::Map(_)) {
-            return Err(serde::DeError(
-                "invalid type: expected a map for struct HistogramSnapshot".to_string(),
-            ));
-        }
-        let base = Self::from_buckets(
-            field(node, "bounds")?,
-            field(node, "counts")?,
-            field(node, "overflow")?,
-            field(node, "count")?,
-            field(node, "sum")?,
-        );
-        let opt = |name: &str| -> Result<Option<f64>, serde::DeError> {
-            match node.get(name) {
-                None => Ok(None),
-                Some(n) => Deserialize::deserialize_node(n),
-            }
-        };
-        // Prefer recorded quantiles when present (round-trip fidelity);
-        // otherwise keep the recomputed ones.
-        Ok(Self {
-            p50: opt("p50")?.or(base.p50),
-            p95: opt("p95")?.or(base.p95),
-            p99: opt("p99")?.or(base.p99),
-            ..base
-        })
     }
 }
 
@@ -549,19 +508,11 @@ mod tests {
     }
 
     #[test]
-    fn quantile_fields_survive_a_serde_round_trip_and_backfill() {
+    fn quantile_fields_survive_a_serde_round_trip() {
         let s = HistogramSnapshot::from_buckets(vec![10.0, 100.0], vec![3, 1], 0, 4, 60.0);
         assert_eq!(s.p50, Some(10.0));
         let json = serde_json::to_string(&s).unwrap();
         let back: HistogramSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
-
-        // A pre-quantile (manifest v2) payload backfills from counts.
-        let legacy =
-            "{\"bounds\":[10.0,100.0],\"counts\":[3,1],\"overflow\":0,\"count\":4,\"sum\":60.0}";
-        let back: HistogramSnapshot = serde_json::from_str(legacy).unwrap();
-        assert_eq!(back.p50, Some(10.0));
-        assert_eq!(back.p95, Some(100.0));
         assert_eq!(back, s);
     }
 

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// values, how many instances and trials per point) are not printed in
 /// the paper; the defaults here are our documented choices
 /// (EXPERIMENTS.md).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentConfig {
     /// Field side length.
     pub side: f64,
@@ -38,48 +38,8 @@ pub struct ExperimentConfig {
     /// Base seed; instance `k` of a sweep point uses a derived stream.
     pub seed: u64,
     /// Interference backend used when building each instance's
-    /// [`fading_core::Problem`]. Defaults to dense (the paper
-    /// configuration); manifests written before this field existed
-    /// deserialize unchanged (see the manual [`Deserialize`] impl).
+    /// [`fading_core::Problem`]. Dense in the paper configuration.
     pub interference: BackendChoice,
-}
-
-// The vendored serde derive requires every named field to be present;
-// this manual impl instead treats `interference` as optional so config
-// files written before the field existed still load, defaulting to the
-// dense (paper) backend.
-impl Deserialize for ExperimentConfig {
-    fn deserialize_node(node: &serde::Node) -> Result<Self, serde::DeError> {
-        fn field<T: Deserialize>(node: &serde::Node, name: &str) -> Result<T, serde::DeError> {
-            Deserialize::deserialize_node(
-                node.get(name)
-                    .ok_or_else(|| serde::DeError(format!("missing field `{name}`")))?,
-            )
-        }
-        if !matches!(node, serde::Node::Map(_)) {
-            return Err(serde::DeError(
-                "invalid type: expected a map for struct ExperimentConfig".to_string(),
-            ));
-        }
-        Ok(Self {
-            side: field(node, "side")?,
-            len_lo: field(node, "len_lo")?,
-            len_hi: field(node, "len_hi")?,
-            epsilon: field(node, "epsilon")?,
-            gamma_th: field(node, "gamma_th")?,
-            n_values: field(node, "n_values")?,
-            alpha_values: field(node, "alpha_values")?,
-            default_n: field(node, "default_n")?,
-            default_alpha: field(node, "default_alpha")?,
-            instances: field(node, "instances")?,
-            trials: field(node, "trials")?,
-            seed: field(node, "seed")?,
-            interference: match node.get("interference") {
-                None => BackendChoice::Dense,
-                Some(n) => Deserialize::deserialize_node(n)?,
-            },
-        })
-    }
 }
 
 impl ExperimentConfig {
@@ -171,15 +131,5 @@ mod tests {
         let json = serde_json::to_string(&c).unwrap();
         let back: ExperimentConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(c, back);
-    }
-
-    #[test]
-    fn configs_without_a_backend_field_default_to_dense() {
-        // A manifest written before the `interference` field existed.
-        let json = serde_json::to_string(&ExperimentConfig::paper()).unwrap();
-        let legacy = json.replace(",\"interference\":\"Dense\"", "");
-        assert_ne!(legacy, json, "expected to strip the interference field");
-        let back: ExperimentConfig = serde_json::from_str(&legacy).unwrap();
-        assert_eq!(back, ExperimentConfig::paper());
     }
 }
