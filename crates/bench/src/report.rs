@@ -20,7 +20,9 @@ use fading_core::{
 };
 use fading_geom::Point2;
 use fading_net::{LinkId, RateModel, TopologyGenerator, UniformGenerator};
+use std::collections::BTreeMap;
 use std::hint::black_box;
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 /// How a report run samples its workloads.
@@ -201,6 +203,14 @@ pub fn run_report(opts: &ReportOptions) -> Result<BenchReport, String> {
         churn_large_benches(&mut rec);
         engine_probes(&mut rec);
         scaling_exponents(&mut rec);
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let lines = code_lines(&root)
+            .map_err(|e| format!("cannot count Rust lines under {}: {e}", root.display()))?;
+        let total = lines.values().sum::<u64>();
+        for (name, n) in lines {
+            rec.derived(&format!("code.lines.{name}"), MetricKind::Lines, n as f64);
+        }
+        rec.derived("code.lines.total", MetricKind::Lines, total as f64);
     }
 
     fading_obs::gauge("bench.report.metrics").set(rec.metrics.len() as f64);
@@ -211,6 +221,44 @@ pub fn run_report(opts: &ReportOptions) -> Result<BenchReport, String> {
         });
     }
     BenchReport::new(crate::schema::today_utc(), rec.metrics)
+}
+
+/// Non-test, non-vendor Rust lines of the workspace at `root`, by
+/// crate: the `.rs` files under `crates/<name>/src` (keyed `<name>`)
+/// and under `src/` and `examples/` (keyed `root`), each counted up to
+/// its first `#[cfg(test)]` line.
+fn code_lines(root: &Path) -> std::io::Result<BTreeMap<String, u64>> {
+    let mut dirs = vec![
+        ("root".to_string(), root.join("src")),
+        ("root".to_string(), root.join("examples")),
+    ];
+    for entry in std::fs::read_dir(root.join("crates"))? {
+        let path = entry?.path();
+        let name = path.file_name().unwrap_or_default().to_string_lossy();
+        dirs.push((name.into_owned(), path.join("src")));
+    }
+    let mut lines = BTreeMap::new();
+    for (name, dir) in dirs {
+        *lines.entry(name).or_default() += rust_lines(&dir)?;
+    }
+    Ok(lines)
+}
+
+fn rust_lines(dir: &Path) -> std::io::Result<u64> {
+    let mut total = 0;
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        if path.is_dir() {
+            total += rust_lines(&path)?;
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let text = std::fs::read_to_string(&path)?;
+            let code = text
+                .lines()
+                .take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"));
+            total += code.count() as u64;
+        }
+    }
+    Ok(total)
 }
 
 /// The fingerprint a report generated here would carry (re-exported
@@ -1263,6 +1311,31 @@ mod tests {
             ]
         );
         assert_eq!(report.schema_version, crate::schema::BENCH_SCHEMA_VERSION);
+    }
+
+    #[test]
+    fn code_lines_stop_at_the_test_module() {
+        let root = std::env::temp_dir().join("fading_bench_code_lines");
+        let _ = std::fs::remove_dir_all(&root);
+        let files = [
+            (
+                "crates/a/src/lib.rs",
+                "fn a() {}\n\n#[cfg(test)]\nmod tests {}\n",
+            ),
+            ("crates/a/src/bin/b.rs", "fn main() {}\n"),
+            ("crates/a/tests/t.rs", "fn t() {}\n"),
+            ("src/lib.rs", "//! Docs.\npub use a::*;\n"),
+            ("examples/e.rs", "fn main() {}\n"),
+            ("examples/notes.md", "not rust\n"),
+        ];
+        for (path, text) in files {
+            let path = root.join(path);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, text).unwrap();
+        }
+        let lines = code_lines(&root).unwrap();
+        let _ = std::fs::remove_dir_all(&root);
+        assert_eq!(lines, BTreeMap::from([("a".into(), 3), ("root".into(), 3)]));
     }
 
     #[test]

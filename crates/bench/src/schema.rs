@@ -42,6 +42,9 @@ pub enum MetricKind {
     /// Operations per second (sustained churn slots/sec); the one kind
     /// where higher is better, gated by a `[min]` floor.
     Rate,
+    /// Non-test source lines (the `code.lines.*` code-size ledger),
+    /// gated by a `[max]` ceiling.
+    Lines,
 }
 
 /// One measured or derived metric.

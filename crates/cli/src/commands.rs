@@ -565,27 +565,7 @@ fn churn(
         packet_prob: args.get_or("packet-prob", 0.2)?,
         seed,
     };
-    if cfg.slots == 0 {
-        return Err("--slots must be positive".into());
-    }
-    if !cfg.link_arrival_rate.is_finite() || cfg.link_arrival_rate < 0.0 {
-        return Err(format!(
-            "--link-rate must be finite and >= 0, got {}",
-            cfg.link_arrival_rate
-        ));
-    }
-    if !cfg.mean_lifetime.is_finite() || cfg.mean_lifetime < 1.0 {
-        return Err(format!(
-            "--lifetime must be >= 1 slot, got {}",
-            cfg.mean_lifetime
-        ));
-    }
-    if !(0.0..=1.0).contains(&cfg.packet_prob) {
-        return Err(format!(
-            "--packet-prob must be in [0,1], got {}",
-            cfg.packet_prob
-        ));
-    }
+    cfg.validate()?;
     let series_out = args.get("series-out");
     let flight_out = args.get("flight-out");
     let watch = args.flag("watch");
@@ -872,6 +852,8 @@ mod tests {
     fn churn_rejects_bad_knobs() {
         assert!(run_line("churn --policy bogus").is_err());
         assert!(run_line("churn --lifetime 0.2").is_err());
+        assert!(run_line("churn --slots 0").is_err());
+        assert!(run_line("churn --link-rate -1").is_err());
         assert!(run_line("churn --packet-prob 1.5").is_err());
         assert!(run_line("churn --frontier 0.1,oops").is_err());
         assert!(run_line("churn --what 3").is_err());
@@ -882,6 +864,26 @@ mod tests {
         assert!(err.contains("mutually exclusive"), "{err}");
         let err = run_line("churn --frontier 0.1 --series-out s.jsonl").unwrap_err();
         assert!(err.contains("--frontier"), "{err}");
+    }
+
+    #[test]
+    fn churn_accepts_an_infinite_lifetime() {
+        // The zero-churn case: no arrivals, no departures, so the seed
+        // population holds for the whole horizon.
+        let json = tmp("churn_inf_lifetime.json");
+        run_line(&format!(
+            "churn --n 50 --slots 20 --link-rate 0 --lifetime inf --seed 3 --out {json}"
+        ))
+        .unwrap();
+        let text = std::fs::read_to_string(&json).unwrap();
+        for field in [
+            "\"links_arrived\": 0,",
+            "\"links_departed\": 0,",
+            "\"mean_population\": 50.0,",
+            "\"final_population\": 50,",
+        ] {
+            assert!(text.contains(field), "{field} missing from {text}");
+        }
     }
 
     #[test]
@@ -975,12 +977,35 @@ mod tests {
         .unwrap();
         let text = std::fs::read_to_string(&prom).unwrap();
         assert!(text.contains("# TYPE"), "{text}");
-        // The armed run registered the phase histograms globally.
-        assert!(text.contains("churn_slot_ns"), "{text}");
+        // The slot span and its phase spans are registry histograms,
+        // nested under the run's `sim.churn.run` span.
+        for span in [
+            "",
+            "_mutate",
+            "_commit",
+            "_walks",
+            "_restrict",
+            "_schedule",
+            "_service",
+        ] {
+            let name = format!("span_sim_churn_run_sim_churn_slot{span}");
+            for series in ["_bucket{le=\"+Inf\"}", "_sum", "_count"] {
+                assert!(
+                    text.contains(&format!("\n{name}{series} ")),
+                    "{name}{series}"
+                );
+            }
+        }
         let body = std::fs::read_to_string(&manifest).unwrap();
         let m: fading_obs::RunManifest = serde_json::from_str(&body).unwrap();
         assert!(m.artifacts.iter().any(|a| a.kind == "series"));
         assert!(m.artifacts.iter().any(|a| a.kind == "prometheus"));
+        for phase in [
+            "mutate", "commit", "walks", "restrict", "schedule", "service",
+        ] {
+            let path = format!("sim.churn.run.sim.churn.slot.{phase}");
+            assert!(fading_obs::span::find(&m.spans, &path).is_some(), "{path}");
+        }
         // Satellite: derived quantiles ride along in the manifest.
         assert!(body.contains("\"p50\""), "quantiles missing from manifest");
     }

@@ -29,7 +29,7 @@ pub fn within_budget(sum: f64, budget: f64) -> bool {
 
 /// Budget test for a sum known only as a certified envelope
 /// `[sum_lo, sum_lo + tail]` (the sparse backend's stored-factor sums;
-/// see [`InterferenceModel::tail_cut`](crate::InterferenceModel::tail_cut)).
+/// see [`InterferenceBackend::tail_cut`](crate::InterferenceBackend::tail_cut)).
 ///
 /// * `Some(true)` — the whole envelope passes: the true sum passes.
 /// * `Some(false)` — the lower bound already fails: the true sum fails.

@@ -2,8 +2,7 @@
 //!
 //! `f[i][j]` is the interference factor of sender `i` on receiver `j`
 //! (Eq. (17)): `ln(1 + γ_th (d_jj/d_ij)^α)` for `i ≠ j` and `0` on the
-//! diagonal. Two backends provide these values behind the
-//! [`InterferenceModel`] trait:
+//! diagonal. Two backends provide these values:
 //!
 //! * [`InterferenceMatrix`] — the dense `N×N` matrix, precomputed once
 //!   per instance (in parallel across rows for large instances). Exact
@@ -16,9 +15,10 @@
 //!   `10⁵`-link instances. See [`crate::sparse`] for the truncation
 //!   error budget.
 //!
-//! [`InterferenceBackend`] is the concrete enum [`Problem`] stores;
-//! dispatch is static (a `match`), so the dense hot paths keep their
-//! slice-based loops via [`InterferenceBackend::dense_row`].
+//! [`InterferenceBackend`] is the enum over both that [`Problem`]
+//! stores, and the read contract every solver relies on; dispatch is
+//! static (a `match`), so the dense hot paths keep their slice-based
+//! loops via [`InterferenceBackend::dense_row`].
 //!
 //! [`Problem`]: crate::problem::Problem
 
@@ -26,55 +26,6 @@ use crate::sparse::SparseInterference;
 use fading_channel::RayleighChannel;
 use fading_net::{LinkId, LinkSet};
 use rayon::prelude::*;
-
-/// Read access to interference factors, uniform over backends.
-///
-/// The contract every solver relies on:
-///
-/// * [`factor`](Self::factor) is **exact** for *both* backends — the
-///   sparse backend recomputes unstored factors from geometry through
-///   the same channel code path, so the value is bit-identical to the
-///   dense entry. Scalar lookups never see truncation error.
-/// * [`for_each_out`](Self::for_each_out) /
-///   [`for_each_in`](Self::for_each_in) iterate only *stored* factors.
-///   Under the dense backend that is every off-diagonal pair; under the
-///   sparse backend every *omitted* factor is individually below
-///   [`tail_cut`](Self::tail_cut) of its receiver, so a sum over a
-///   selection `S` accumulated from stored factors is a lower bound
-///   within `|S| · tail_cut(j)` of the true sum (see
-///   [`within_budget_certified`](crate::feasibility::within_budget_certified)).
-pub trait InterferenceModel {
-    /// Number of links `N`.
-    fn len(&self) -> usize;
-
-    /// Whether the model covers no links.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The factor `f_{i,j}` of sender `i` on receiver `j` — exact in
-    /// every backend (`0` on the diagonal).
-    fn factor(&self, sender: LinkId, receiver: LinkId) -> f64;
-
-    /// Calls `f(receiver, factor)` for every *stored* out-factor of
-    /// `sender` (dense: all `j ≠ sender`).
-    fn for_each_out(&self, sender: LinkId, f: &mut dyn FnMut(LinkId, f64));
-
-    /// Calls `f(sender, factor)` for every *stored* in-factor onto
-    /// `receiver` (dense: all `i ≠ receiver`).
-    fn for_each_in(&self, receiver: LinkId, f: &mut dyn FnMut(LinkId, f64));
-
-    /// Certified upper bound on any single factor onto `receiver` that
-    /// the iteration methods omit. `0` means the backend is exhaustive
-    /// for this receiver.
-    fn tail_cut(&self, receiver: LinkId) -> f64;
-
-    /// Whether every receiver is exhaustive (`tail_cut == 0` for all).
-    fn is_exact(&self) -> bool;
-
-    /// Number of stored off-diagonal factors (dense: `N·(N−1)`).
-    fn stored_factors(&self) -> u64;
-}
 
 /// Row-major `N×N` matrix of interference factors.
 #[derive(Debug, Clone, PartialEq)]
@@ -202,6 +153,32 @@ impl InterferenceMatrix {
         &self.data[i * self.n..(i + 1) * self.n]
     }
 
+    /// Calls `f(receiver, factor)` for every `j ≠ sender`.
+    pub fn for_each_out(&self, sender: LinkId, f: &mut dyn FnMut(LinkId, f64)) {
+        let i = sender.index();
+        for (j, &v) in self.row(sender).iter().enumerate() {
+            if j != i {
+                f(LinkId(j as u32), v);
+            }
+        }
+    }
+
+    /// Calls `f(sender, factor)` for every `i ≠ receiver`.
+    pub fn for_each_in(&self, receiver: LinkId, f: &mut dyn FnMut(LinkId, f64)) {
+        let j = receiver.index();
+        for i in 0..self.n {
+            if i != j {
+                f(LinkId(i as u32), self.data[i * self.n + j]);
+            }
+        }
+    }
+
+    /// Number of stored off-diagonal factors, `N·(N−1)`.
+    pub fn stored_factors(&self) -> u64 {
+        let n = self.n as u64;
+        n.saturating_mul(n.saturating_sub(1))
+    }
+
     /// Grows the matrix in place to cover `links` (the *extended* link
     /// set; the first `self.len()` links must be unchanged). Existing
     /// entries are kept verbatim; only the new rows and the new columns
@@ -323,54 +300,25 @@ impl InterferenceMatrix {
     }
 }
 
-impl InterferenceModel for InterferenceMatrix {
-    #[inline]
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    #[inline]
-    fn factor(&self, sender: LinkId, receiver: LinkId) -> f64 {
-        InterferenceMatrix::factor(self, sender, receiver)
-    }
-
-    fn for_each_out(&self, sender: LinkId, f: &mut dyn FnMut(LinkId, f64)) {
-        let i = sender.index();
-        for (j, &v) in self.row(sender).iter().enumerate() {
-            if j != i {
-                f(LinkId(j as u32), v);
-            }
-        }
-    }
-
-    fn for_each_in(&self, receiver: LinkId, f: &mut dyn FnMut(LinkId, f64)) {
-        let j = receiver.index();
-        for i in 0..self.n {
-            if i != j {
-                f(LinkId(i as u32), self.data[i * self.n + j]);
-            }
-        }
-    }
-
-    #[inline]
-    fn tail_cut(&self, _receiver: LinkId) -> f64 {
-        0.0
-    }
-
-    #[inline]
-    fn is_exact(&self) -> bool {
-        true
-    }
-
-    fn stored_factors(&self) -> u64 {
-        let n = self.n as u64;
-        n.saturating_mul(n.saturating_sub(1))
-    }
-}
-
-/// The concrete interference store a [`Problem`] carries.
+/// The concrete interference store a [`Problem`] carries: read access
+/// to interference factors, uniform over backends.
 ///
-/// An enum rather than a `dyn InterferenceModel` so `Problem` keeps
+/// The contract every solver relies on:
+///
+/// * [`factor`](Self::factor) is **exact** for *both* backends — the
+///   sparse backend recomputes unstored factors from geometry through
+///   the same channel code path, so the value is bit-identical to the
+///   dense entry. Scalar lookups never see truncation error.
+/// * [`for_each_out`](Self::for_each_out) /
+///   [`for_each_in`](Self::for_each_in) iterate only *stored* factors.
+///   Under the dense backend that is every off-diagonal pair; under the
+///   sparse backend every *omitted* factor is individually below
+///   [`tail_cut`](Self::tail_cut) of its receiver, so a sum over a
+///   selection `S` accumulated from stored factors is a lower bound
+///   within `|S| · tail_cut(j)` of the true sum (see
+///   [`within_budget_certified`](crate::feasibility::within_budget_certified)).
+///
+/// An enum rather than a trait object so `Problem` keeps
 /// `Clone`/`PartialEq` and hot loops dispatch statically; the dense
 /// fast path stays a contiguous slice via [`dense_row`].
 ///
@@ -403,7 +351,8 @@ impl InterferenceBackend {
         self.len() == 0
     }
 
-    /// Exact factor `f_{i,j}` (both backends; see [`InterferenceModel`]).
+    /// Exact factor `f_{i,j}` of sender `i` on receiver `j` (both
+    /// backends; `0` on the diagonal).
     #[inline]
     pub fn factor(&self, sender: LinkId, receiver: LinkId) -> f64 {
         match self {
@@ -425,25 +374,29 @@ impl InterferenceBackend {
         }
     }
 
-    /// Stored out-factors of `sender` (see [`InterferenceModel`]).
+    /// Calls `f(receiver, factor)` for every *stored* out-factor of
+    /// `sender` (dense: all `j ≠ sender`).
     #[inline]
     pub fn for_each_out(&self, sender: LinkId, f: &mut dyn FnMut(LinkId, f64)) {
         match self {
-            Self::Dense(m) => InterferenceModel::for_each_out(m, sender, f),
+            Self::Dense(m) => m.for_each_out(sender, f),
             Self::Sparse(s) => s.for_each_out(sender, f),
         }
     }
 
-    /// Stored in-factors onto `receiver` (see [`InterferenceModel`]).
+    /// Calls `f(sender, factor)` for every *stored* in-factor onto
+    /// `receiver` (dense: all `i ≠ receiver`).
     #[inline]
     pub fn for_each_in(&self, receiver: LinkId, f: &mut dyn FnMut(LinkId, f64)) {
         match self {
-            Self::Dense(m) => InterferenceModel::for_each_in(m, receiver, f),
+            Self::Dense(m) => m.for_each_in(receiver, f),
             Self::Sparse(s) => s.for_each_in(receiver, f),
         }
     }
 
-    /// Certified bound on any omitted factor onto `receiver`.
+    /// Certified upper bound on any single factor onto `receiver` that
+    /// the iteration methods omit. `0` means the backend is exhaustive
+    /// for this receiver.
     #[inline]
     pub fn tail_cut(&self, receiver: LinkId) -> f64 {
         match self {
@@ -452,19 +405,20 @@ impl InterferenceBackend {
         }
     }
 
-    /// Whether iteration is exhaustive for every receiver.
+    /// Whether iteration is exhaustive for every receiver
+    /// (`tail_cut == 0` for all).
     pub fn is_exact(&self) -> bool {
         match self {
             Self::Dense(_) => true,
-            Self::Sparse(s) => InterferenceModel::is_exact(s),
+            Self::Sparse(s) => s.is_exact(),
         }
     }
 
-    /// Number of stored off-diagonal factors.
+    /// Number of stored off-diagonal factors (dense: `N·(N−1)`).
     pub fn stored_factors(&self) -> u64 {
         match self {
-            Self::Dense(m) => InterferenceModel::stored_factors(m),
-            Self::Sparse(s) => InterferenceModel::stored_factors(s),
+            Self::Dense(m) => m.stored_factors(),
+            Self::Sparse(s) => s.stored_factors(),
         }
     }
 
@@ -490,36 +444,6 @@ impl InterferenceBackend {
             Self::Dense(_) => None,
             Self::Sparse(s) => Some(s),
         }
-    }
-}
-
-impl InterferenceModel for InterferenceBackend {
-    fn len(&self) -> usize {
-        InterferenceBackend::len(self)
-    }
-
-    fn factor(&self, sender: LinkId, receiver: LinkId) -> f64 {
-        InterferenceBackend::factor(self, sender, receiver)
-    }
-
-    fn for_each_out(&self, sender: LinkId, f: &mut dyn FnMut(LinkId, f64)) {
-        InterferenceBackend::for_each_out(self, sender, f)
-    }
-
-    fn for_each_in(&self, receiver: LinkId, f: &mut dyn FnMut(LinkId, f64)) {
-        InterferenceBackend::for_each_in(self, receiver, f)
-    }
-
-    fn tail_cut(&self, receiver: LinkId) -> f64 {
-        InterferenceBackend::tail_cut(self, receiver)
-    }
-
-    fn is_exact(&self) -> bool {
-        InterferenceBackend::is_exact(self)
-    }
-
-    fn stored_factors(&self) -> u64 {
-        InterferenceBackend::stored_factors(self)
     }
 }
 
@@ -677,7 +601,7 @@ mod tests {
         let channel = RayleighChannel::new(ChannelParams::paper_defaults());
         let m = InterferenceMatrix::build(&links, &channel);
         assert!(m.is_empty());
-        assert_eq!(InterferenceModel::stored_factors(&m), 0);
+        assert_eq!(m.stored_factors(), 0);
     }
 
     #[test]
@@ -685,22 +609,24 @@ mod tests {
         let (links, m) = build(12, 6);
         for i in links.ids() {
             let mut seen = vec![];
-            InterferenceModel::for_each_out(&m, i, &mut |j, f| seen.push((j, f)));
+            m.for_each_out(i, &mut |j, f| seen.push((j, f)));
             assert_eq!(seen.len(), links.len() - 1);
             for (j, f) in seen {
                 assert_ne!(j, i, "diagonal must be skipped");
                 assert_eq!(f, m.factor(i, j));
             }
             let mut inbound = vec![];
-            InterferenceModel::for_each_in(&m, i, &mut |j, f| inbound.push((j, f)));
+            m.for_each_in(i, &mut |j, f| inbound.push((j, f)));
             assert_eq!(inbound.len(), links.len() - 1);
             for (j, f) in inbound {
                 assert_eq!(f, m.factor(j, i));
             }
         }
-        assert!(InterferenceModel::is_exact(&m));
-        assert_eq!(InterferenceModel::tail_cut(&m, LinkId(0)), 0.0);
-        assert_eq!(InterferenceModel::stored_factors(&m), 12 * 11);
+        assert_eq!(m.stored_factors(), 12 * 11);
+        let backend = InterferenceBackend::Dense(m);
+        assert!(backend.is_exact());
+        assert_eq!(backend.tail_cut(LinkId(0)), 0.0);
+        assert_eq!(backend.stored_factors(), 12 * 11);
     }
 
     #[test]

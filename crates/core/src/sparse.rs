@@ -33,7 +33,7 @@
 //! `docs/interference.md` derives both bounds.
 
 use crate::feasibility::BUDGET_RTOL;
-use crate::interference::{InterferenceModel, PARALLEL_THRESHOLD};
+use crate::interference::PARALLEL_THRESHOLD;
 use crate::mutate::LinkSpec;
 use fading_channel::RayleighChannel;
 use fading_geom::{Point2, SpatialHash};
@@ -203,7 +203,6 @@ impl SparseInterference {
             "gamma_eps must be positive"
         );
         let _span = fading_obs::span!("core.sparse.build");
-        let started = std::time::Instant::now();
         let n = links.len();
         if let Some(p) = powers {
             assert_eq!(p.len(), n, "power vector length mismatch");
@@ -300,7 +299,6 @@ impl SparseInterference {
         fading_obs::counter("core.sparse.builds").incr();
         fading_obs::counter("core.sparse.factors_stored").add(total as u64);
         fading_obs::counter("core.sparse.factors_pruned").add(pairs - total as u64);
-        fading_obs::gauge("core.sparse.build_ms").set(started.elapsed().as_secs_f64() * 1e3);
         fading_obs::gauge("core.sparse.tail_cut_max").set(cut.iter().copied().fold(0.0, f64::max));
         let neighborhood = fading_obs::histogram(
             "core.sparse.in_degree",
@@ -543,6 +541,17 @@ impl SparseInterference {
     #[inline]
     pub fn tail_cut(&self, receiver: LinkId) -> f64 {
         self.cut[receiver.index()]
+    }
+
+    /// Whether every receiver's neighborhood is exhaustive
+    /// (`tail_cut == 0` for all).
+    pub fn is_exact(&self) -> bool {
+        self.exact
+    }
+
+    /// Number of stored off-diagonal factors.
+    pub fn stored_factors(&self) -> u64 {
+        self.row_len.iter().map(|&l| l as u64).sum()
     }
 
     /// The truncation radius of `receiver`.
@@ -1063,36 +1072,6 @@ impl SparseInterference {
     }
 }
 
-impl InterferenceModel for SparseInterference {
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    fn factor(&self, sender: LinkId, receiver: LinkId) -> f64 {
-        SparseInterference::factor(self, sender, receiver)
-    }
-
-    fn for_each_out(&self, sender: LinkId, f: &mut dyn FnMut(LinkId, f64)) {
-        SparseInterference::for_each_out(self, sender, f)
-    }
-
-    fn for_each_in(&self, receiver: LinkId, f: &mut dyn FnMut(LinkId, f64)) {
-        SparseInterference::for_each_in(self, receiver, f)
-    }
-
-    fn tail_cut(&self, receiver: LinkId) -> f64 {
-        SparseInterference::tail_cut(self, receiver)
-    }
-
-    fn is_exact(&self) -> bool {
-        self.exact
-    }
-
-    fn stored_factors(&self) -> u64 {
-        self.row_len.iter().map(|&l| l as u64).sum()
-    }
-}
-
 /// `f_{i,j}` from geometry — the single code path both the stored build
 /// and on-demand lookups share (and the same one the dense build uses),
 /// so every value is bit-identical across backends.
@@ -1236,11 +1215,8 @@ mod tests {
         // link, so the sparse store degenerates to an exact CSR: every
         // pair stored, all cuts zero.
         let (_, dense, sparse) = paper_pair(50, 10, SparseConfig::certified().tail_rtol);
-        assert!(InterferenceModel::is_exact(&sparse));
-        assert_eq!(
-            InterferenceModel::stored_factors(&sparse),
-            InterferenceModel::stored_factors(&dense)
-        );
+        assert!(sparse.is_exact());
+        assert_eq!(sparse.stored_factors(), dense.stored_factors());
     }
 
     #[test]
@@ -1248,13 +1224,8 @@ mod tests {
         // A coarse cut on a spread-out instance must actually prune, and
         // every pruned factor must be below its receiver's cut.
         let (links, dense, sparse) = paper_pair(80, 11, 0.5);
-        assert!(
-            !InterferenceModel::is_exact(&sparse),
-            "0.5·γ_ε must truncate"
-        );
-        assert!(
-            InterferenceModel::stored_factors(&sparse) < InterferenceModel::stored_factors(&dense)
-        );
+        assert!(!sparse.is_exact(), "0.5·γ_ε must truncate");
+        assert!(sparse.stored_factors() < dense.stored_factors());
         for i in links.ids() {
             let mut stored = vec![false; links.len()];
             sparse.for_each_out(i, &mut |j, f| {
@@ -1333,12 +1304,12 @@ mod tests {
         let s =
             SparseInterference::build(&empty, &channel, gamma_eps(0.01), SparseConfig::default());
         assert!(s.is_empty());
-        assert_eq!(InterferenceModel::stored_factors(&s), 0);
+        assert_eq!(s.stored_factors(), 0);
 
         let one = UniformGenerator::paper(1).generate(15);
         let s = SparseInterference::build(&one, &channel, gamma_eps(0.01), SparseConfig::default());
         assert_eq!(s.len(), 1);
-        assert_eq!(InterferenceModel::stored_factors(&s), 0);
+        assert_eq!(s.stored_factors(), 0);
         assert_eq!(s.factor(LinkId(0), LinkId(0)), 0.0);
     }
 
@@ -1407,7 +1378,7 @@ mod tests {
             gamma_eps(0.01),
             SparseConfig { tail_rtol: 0.5 },
         );
-        assert!(!InterferenceModel::is_exact(&s), "0.5·γ_ε must truncate");
+        assert!(!s.is_exact(), "0.5·γ_ε must truncate");
         let extra = UniformGenerator::paper(80).generate(19);
         let l = extra.link(LinkId(75));
         s.apply_batch(
@@ -1457,7 +1428,7 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(s, rebuild_of(&s));
-        assert!(InterferenceModel::stored_factors(&s) > 0);
+        assert!(s.stored_factors() > 0);
     }
 
     #[test]

@@ -11,10 +11,7 @@
 use fading_channel::ChannelParams;
 use fading_core::algo::{Dls, GreedyRate, Ldp, Rle};
 use fading_core::feasibility::{is_feasible, InterferenceAccumulator};
-use fading_core::{
-    BackendChoice, InterferenceModel, Problem, Schedule, Scheduler, SparseConfig,
-    SparseInterference,
-};
+use fading_core::{BackendChoice, Problem, Schedule, Scheduler, SparseConfig, SparseInterference};
 use fading_net::{LinkId, TopologyGenerator, UniformGenerator};
 use proptest::prelude::*;
 

@@ -8,22 +8,18 @@
 //! needs reproducible random sampling plus summary statistics with
 //! confidence intervals.
 
-pub mod bootstrap;
 pub mod expdist;
 pub mod histogram;
 pub mod integrate;
 pub mod kahan;
-pub mod quantile;
 pub mod rng;
 pub mod stats;
 pub mod zeta;
 
-pub use bootstrap::{bootstrap_ci, bootstrap_mean_ci, BootstrapCi};
 pub use expdist::Exponential;
 pub use histogram::Histogram;
 pub use integrate::{integrate, integrate_to_infinity};
 pub use kahan::KahanSum;
-pub use quantile::{iqr, median, quantile};
 pub use rng::{seeded_rng, split_seed};
 pub use stats::{ci95_half_width, OnlineStats, Summary};
 pub use zeta::zeta;

@@ -85,7 +85,7 @@ mod tests {
     #[test]
     fn sanitizes_dotted_names() {
         assert_eq!(prom_name("core.rle.picks"), "core_rle_picks");
-        assert_eq!(prom_name("churn.phase.mutate"), "churn_phase_mutate");
+        assert_eq!(prom_name("span.sim.churn.slot"), "span_sim_churn_slot");
         assert_eq!(prom_name("7seas"), "_seas");
         assert_eq!(prom_name("a-b/c"), "a_b_c");
     }
@@ -96,7 +96,7 @@ mod tests {
         snap.counters.insert("core.rle.picks".into(), 96);
         snap.gauges.insert("sim.churn.backlog".into(), 12.5);
         snap.histograms.insert(
-            "churn.phase.mutate".into(),
+            "span.sim.churn.slot.commit".into(),
             HistogramSnapshot {
                 bounds: vec![10.0, 100.0],
                 counts: vec![3, 2],
@@ -111,13 +111,13 @@ mod tests {
         let text = render_prometheus(&snap);
         assert!(text.contains("# TYPE core_rle_picks counter\ncore_rle_picks 96\n"));
         assert!(text.contains("# TYPE sim_churn_backlog gauge\nsim_churn_backlog 12.5\n"));
-        assert!(text.contains("# TYPE churn_phase_mutate histogram"));
+        assert!(text.contains("# TYPE span_sim_churn_slot_commit histogram"));
         // Buckets are cumulative and end with +Inf == count.
-        assert!(text.contains("churn_phase_mutate_bucket{le=\"10\"} 3"));
-        assert!(text.contains("churn_phase_mutate_bucket{le=\"100\"} 5"));
-        assert!(text.contains("churn_phase_mutate_bucket{le=\"+Inf\"} 6"));
-        assert!(text.contains("churn_phase_mutate_sum 250"));
-        assert!(text.contains("churn_phase_mutate_count 6"));
+        assert!(text.contains("span_sim_churn_slot_commit_bucket{le=\"10\"} 3"));
+        assert!(text.contains("span_sim_churn_slot_commit_bucket{le=\"100\"} 5"));
+        assert!(text.contains("span_sim_churn_slot_commit_bucket{le=\"+Inf\"} 6"));
+        assert!(text.contains("span_sim_churn_slot_commit_sum 250"));
+        assert!(text.contains("span_sim_churn_slot_commit_count 6"));
     }
 
     #[test]

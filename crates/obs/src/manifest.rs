@@ -52,7 +52,8 @@ pub struct RunManifest {
     pub wall_time_ms: u64,
     /// Merged metric registry state at the end of the run.
     pub metrics: MetricsSnapshot,
-    /// Hierarchical span timings.
+    /// Hierarchical span timings, folded from the `span.*` histograms
+    /// in `metrics`.
     pub spans: Vec<SpanNode>,
     /// Files the run produced (decision traces, schedules), with
     /// content hashes.
@@ -126,6 +127,7 @@ impl ManifestBuilder {
 
     /// Stops the clock and snapshots metrics, spans, git, and profile.
     pub fn finish(self) -> RunManifest {
+        let metrics = crate::metrics::snapshot();
         RunManifest {
             version: MANIFEST_VERSION,
             name: self.name,
@@ -138,8 +140,8 @@ impl ManifestBuilder {
             seed: self.seed,
             config: self.config,
             wall_time_ms: self.start.elapsed().as_millis() as u64,
-            metrics: crate::metrics::snapshot(),
-            spans: crate::span::span_snapshot(),
+            spans: crate::span::span_tree(&metrics.histograms),
+            metrics,
             artifacts: self.artifacts,
         }
     }
@@ -172,7 +174,7 @@ mod tests {
         gauges.insert("sim.runner.threads".to_string(), 1.0);
         let mut histograms = BTreeMap::new();
         histograms.insert(
-            "sim.runner.point_ms".to_string(),
+            "core.sparse.in_degree".to_string(),
             // 4 observations, 1 in overflow: p50 lands in bucket 100,
             // p95/p99 in overflow (no finite bound -> None).
             HistogramSnapshot::from_buckets(vec![10.0, 100.0, 1000.0], vec![1, 2, 0], 1, 4, 1234.5),

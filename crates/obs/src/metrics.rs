@@ -7,6 +7,7 @@
 //! hot-loop increment costs one relaxed `fetch_add`. [`snapshot`]
 //! merges the shards into plain serializable maps.
 
+use crate::span::SPAN_BOUNDS;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -141,6 +142,18 @@ impl HistogramCell {
         Self { bounds, shards }
     }
 
+    fn record(&self, v: f64) {
+        let shard = &self.shards[shard_index()];
+        let idx = self.bounds.partition_point(|&b| v > b);
+        if idx < self.bounds.len() {
+            shard.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        } else {
+            shard.overflow.fetch_add(1, Ordering::Relaxed);
+        }
+        shard.count.fetch_add(1, Ordering::Relaxed);
+        add_f64(&shard.sum_bits, v);
+    }
+
     fn reset(&self) {
         for s in &self.shards {
             for b in &s.buckets {
@@ -160,16 +173,7 @@ pub struct Histogram(Arc<HistogramCell>);
 impl Histogram {
     /// Records one observation.
     pub fn record(&self, v: f64) {
-        let cell = &*self.0;
-        let shard = &cell.shards[shard_index()];
-        let idx = cell.bounds.partition_point(|&b| v > b);
-        if idx < cell.bounds.len() {
-            shard.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        } else {
-            shard.overflow.fetch_add(1, Ordering::Relaxed);
-        }
-        shard.count.fetch_add(1, Ordering::Relaxed);
-        add_f64(&shard.sum_bits, v);
+        self.0.record(v);
     }
 
     /// The merged current state.
@@ -333,6 +337,21 @@ pub fn histogram(name: &str, bounds: &[f64]) -> Histogram {
         Arc::new(HistogramCell::new(bounds.to_vec()))
     });
     Histogram(Arc::clone(cell))
+}
+
+/// Records `ns` into the span histogram `name` (`span.<path>`, see
+/// [`crate::span`]), registering it with [`SPAN_BOUNDS`] on first use.
+/// The lookup borrows `name`, so a warm call never allocates.
+pub(crate) fn record_span(name: &str, ns: u64) {
+    let mut map = registry().histograms.lock().unwrap();
+    match map.get(name) {
+        Some(cell) => cell.record(ns as f64),
+        None => {
+            let cell = HistogramCell::new(SPAN_BOUNDS.to_vec());
+            cell.record(ns as f64);
+            map.insert(name.to_string(), Arc::new(cell));
+        }
+    }
 }
 
 /// Merges every metric's shards into a serializable snapshot.

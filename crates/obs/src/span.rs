@@ -1,9 +1,18 @@
-//! RAII wall-clock spans aggregated into a timing tree.
+//! RAII wall-clock spans, recorded into the metrics registry.
 //!
 //! [`Span::enter`] appends a name to a thread-local dotted path and
-//! starts a timer; dropping the guard accumulates the elapsed time
-//! under that path and truncates it back. [`span_snapshot`] turns the
-//! accumulated paths into a hierarchical [`SpanNode`] tree.
+//! starts a timer; dropping the guard (or [`Span::close`], which also
+//! returns the measurement) records the elapsed nanoseconds into the
+//! histogram `span.<path>` of the [`crate::metrics`] registry and
+//! truncates the path back. Every span histogram shares the decade
+//! bounds [`SPAN_BOUNDS`], so `--metrics-out` and `--prom-out` carry
+//! each span's count, sum and p50/p99 like any other histogram.
+//! [`span_snapshot`] folds those histograms into a hierarchical
+//! [`SpanNode`] tree.
+//!
+//! The `span.` name prefix is reserved: register no other metric under
+//! it. [`crate::reset_metrics`] zeroes spans along with everything
+//! else; zeroed paths drop out of the tree.
 //!
 //! Spans opened on `rayon` worker threads start their own root (the
 //! path is per-thread), which is the honest reading: a worker's time
@@ -14,35 +23,37 @@
 //! Spans sit on the per-`schedule()` hot path of the zero-allocation
 //! engine (`docs/engine.md`), so the warm path must not touch the heap:
 //! the thread-local path is one reused `String` (names are appended in
-//! place and truncated on drop), and the totals table is updated via
-//! `get_mut` on the borrowed path. The only allocations are one-time:
-//! growing the path string past its high-water mark and inserting a
-//! path's first table entry.
+//! place and truncated on drop) that already carries the `span.`
+//! prefix, so the histogram is looked up by the borrowed path. The only
+//! allocations are one-time: growing the path string past its
+//! high-water mark and registering a path's histogram.
 
+use crate::metrics::HistogramSnapshot;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
+/// Name prefix of the span histograms in the metrics registry.
+pub const SPAN_PREFIX: &str = "span.";
+
+/// Nanosecond bucket bounds shared by every span histogram: decades
+/// from 1 µs to 100 s.
+pub const SPAN_BOUNDS: [f64; 9] = [1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11];
+
 thread_local! {
-    /// The dotted path of the spans currently open on this thread,
-    /// e.g. `"sweep.scheduler.core.rle.schedule"`. Reused across
-    /// spans so steady-state enter/drop never allocates.
+    /// `span.` plus the dotted path of the spans currently open on
+    /// this thread, e.g. `"span.sweep.scheduler.core.rle.schedule"`;
+    /// empty while none is open. Reused across spans so steady-state
+    /// enter/drop never allocates.
     static PATH: RefCell<String> = const { RefCell::new(String::new()) };
 }
 
-/// path -> (calls, total nanoseconds)
-fn table() -> &'static Mutex<BTreeMap<String, (u64, u64)>> {
-    static TABLE: OnceLock<Mutex<BTreeMap<String, (u64, u64)>>> = OnceLock::new();
-    TABLE.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
 /// An open timing span; created by [`Span::enter`] or the
-/// [`crate::span!`] macro, recorded on drop.
+/// [`crate::span!`] macro, recorded on drop or [`Span::close`].
 pub struct Span {
     start: Instant,
-    /// Path length before this span's segment was appended; drop
+    /// Path length before this span's segment was appended; closing
     /// truncates back to it.
     trunc: usize,
 }
@@ -55,9 +66,7 @@ impl Span {
         let trunc = PATH.with(|p| {
             let mut path = p.borrow_mut();
             let trunc = path.len();
-            if !path.is_empty() {
-                path.push('.');
-            }
+            path.push_str(if trunc == 0 { SPAN_PREFIX } else { "." });
             path.push_str(name);
             trunc
         });
@@ -66,29 +75,43 @@ impl Span {
             trunc,
         }
     }
+
+    /// Closes the span like a drop does, and returns the nanoseconds
+    /// it recorded.
+    pub fn close(self) -> u64 {
+        let ns = self.record(Instant::now());
+        std::mem::forget(self);
+        ns
+    }
+
+    /// Closes the span and opens its sibling `name` at the same
+    /// instant; returns the nanoseconds this span recorded and the
+    /// sibling. Back-to-back phases handed off this way tile their
+    /// parent: the cost of recording falls inside the sibling instead
+    /// of between the two.
+    pub fn handoff(self, name: &str) -> (u64, Span) {
+        let now = Instant::now();
+        let ns = self.record(now);
+        std::mem::forget(self);
+        let mut sibling = Span::enter(name);
+        sibling.start = now;
+        (ns, sibling)
+    }
+
+    fn record(&self, end: Instant) -> u64 {
+        let ns = (end - self.start).as_nanos() as u64;
+        PATH.with(|p| {
+            let mut path = p.borrow_mut();
+            crate::metrics::record_span(&path, ns);
+            path.truncate(self.trunc);
+        });
+        ns
+    }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let elapsed_ns = self.start.elapsed().as_nanos() as u64;
-        PATH.with(|p| {
-            let mut path = p.borrow_mut();
-            {
-                let mut totals = table().lock().unwrap();
-                match totals.get_mut(path.as_str()) {
-                    Some(entry) => {
-                        entry.0 += 1;
-                        entry.1 += elapsed_ns;
-                    }
-                    // First completion of this path (warm-up): the one
-                    // place a key is allocated.
-                    None => {
-                        totals.insert(path.clone(), (1, elapsed_ns));
-                    }
-                }
-            }
-            path.truncate(self.trunc);
-        });
+        self.record(Instant::now());
     }
 }
 
@@ -131,22 +154,26 @@ fn insert(nodes: &mut Vec<SpanNode>, segments: &[&str], calls: u64, total_ns: u6
     }
 }
 
-/// The completed-span tree so far. Sibling order follows the sorted
+/// The span tree of the `span.*` histograms in `histograms` (a
+/// [`crate::MetricsSnapshot`]'s map). Sibling order follows the sorted
 /// dotted paths, so the output is deterministic.
-pub fn span_snapshot() -> Vec<SpanNode> {
-    let totals = table().lock().unwrap();
+pub(crate) fn span_tree(histograms: &BTreeMap<String, HistogramSnapshot>) -> Vec<SpanNode> {
     let mut roots = Vec::new();
-    for (path, &(calls, total_ns)) in totals.iter() {
-        let segments: Vec<&str> = path.split('.').collect();
-        insert(&mut roots, &segments, calls, total_ns);
+    for (name, h) in histograms {
+        let Some(path) = name.strip_prefix(SPAN_PREFIX) else {
+            continue;
+        };
+        if h.count > 0 {
+            let segments: Vec<&str> = path.split('.').collect();
+            insert(&mut roots, &segments, h.count, h.sum as u64);
+        }
     }
     roots
 }
 
-/// Discards all recorded span timings (open guards still record on
-/// drop). Meant for tests and phase isolation.
-pub fn reset_spans() {
-    table().lock().unwrap().clear();
+/// The completed-span tree so far.
+pub fn span_snapshot() -> Vec<SpanNode> {
+    span_tree(&crate::metrics::snapshot().histograms)
 }
 
 /// Looks up a node by dotted path in a snapshot (helper for tests and
@@ -234,5 +261,39 @@ mod tests {
         assert_eq!(before, after, "path not restored");
         let snap = span_snapshot();
         assert!(find(&snap, "obs_test_restore.child2").is_some());
+    }
+
+    #[test]
+    fn spans_are_histograms_in_the_registry_and_the_exposition() {
+        // Unique names: the registry is process-global and shared with
+        // the other tests of this binary.
+        let mut outer_ns = 0;
+        let mut inner_ns = 0;
+        for _ in 0..3 {
+            let outer = Span::enter("obs_test_hist");
+            let (ns, inner) = Span::enter("inner").handoff("inner");
+            inner_ns += ns + inner.close();
+            outer_ns += outer.close();
+        }
+        let snap = crate::metrics::snapshot();
+        let outer = &snap.histograms["span.obs_test_hist"];
+        let inner = &snap.histograms["span.obs_test_hist.inner"];
+        assert_eq!((outer.count, outer.sum as u64), (3, outer_ns));
+        assert_eq!((inner.count, inner.sum as u64), (6, inner_ns));
+        assert_eq!(inner.bounds, SPAN_BOUNDS);
+        assert!(inner.p50.is_some() && inner.p99.is_some());
+
+        let tree = span_tree(&snap.histograms);
+        let node = find(&tree, "obs_test_hist").unwrap();
+        assert_eq!((node.calls, node.total_ns), (3, outer_ns));
+        let node = find(&tree, "obs_test_hist.inner").unwrap();
+        assert_eq!((node.calls, node.total_ns), (6, inner_ns));
+
+        let text = crate::render_prometheus(&snap);
+        assert!(text.contains("# TYPE span_obs_test_hist_inner histogram"));
+        assert!(text.contains("span_obs_test_hist_inner_bucket{le=\"1000\"}"));
+        assert!(text.contains("span_obs_test_hist_inner_bucket{le=\"+Inf\"} 6"));
+        assert!(text.contains(&format!("span_obs_test_hist_inner_sum {inner_ns}")));
+        assert!(text.contains("span_obs_test_hist_inner_count 6"));
     }
 }

@@ -32,7 +32,8 @@ use std::path::Path;
 /// One slot's telemetry: deterministic simulation outcomes plus
 /// (optional) measured phase timings. All deterministic fields are
 /// exact integers derived from the seeded run; the `*_ns` fields are
-/// wall-clock measurements and are zero when timing is disarmed.
+/// wall-clock measurements, each the closed `sim.churn.slot` span or
+/// one of its phase child spans (zero for a phase the slot skipped).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct SlotRecord {
     /// Slot index (0-based).
@@ -57,21 +58,21 @@ pub struct SlotRecord {
     pub abandoned: u64,
     /// Total queued packets after service.
     pub backlog: u64,
-    /// Wall time building the slot's mutation transaction (departure
-    /// scan + arrival sampling).
+    /// Span `mutate`: building the slot's mutation transaction
+    /// (departure scan + arrival sampling).
     pub mutate_ns: u64,
-    /// Wall time committing the transaction (`Problem::apply` plus the
-    /// receipt-driven state bookkeeping).
+    /// Span `commit`: committing the transaction (`Problem::apply`
+    /// plus the receipt-driven state bookkeeping).
     pub commit_ns: u64,
-    /// Wall time in the dense `O(N)` bookkeeping walks.
+    /// Span `walks`: the dense `O(N)` packet-arrival and backlog walk.
     pub envelope_ns: u64,
-    /// Wall time restricting to the backlogged sub-problem.
+    /// Span `restrict`: syncing the backlogged sub-problem.
     pub restrict_ns: u64,
-    /// Wall time in the scheduler proper.
+    /// Span `schedule`: the scheduler proper.
     pub schedule_ns: u64,
-    /// Wall time realizing the channel and serving queues.
+    /// Span `service`: realizing the channel and serving queues.
     pub service_ns: u64,
-    /// Whole-slot wall time (phases plus record-keeping).
+    /// Span `sim.churn.slot`: the whole slot (phases plus glue).
     pub slot_ns: u64,
 }
 

@@ -30,14 +30,13 @@ use fading_core::{
 };
 use fading_math::{seeded_rng, split_seed, OnlineStats};
 use fading_net::{LinkId, UniformGenerator};
-use fading_obs::{FlightConfig, FlightRecorder, Histogram, SlotRecord, SlotSeries, TraceEvent};
+use fading_obs::{FlightConfig, FlightRecorder, SlotRecord, SlotSeries, Span, TraceEvent};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 /// How per-slot service decisions weigh the backlog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -68,6 +67,35 @@ pub struct ChurnConfig {
 }
 
 impl ChurnConfig {
+    /// Checks the knobs [`ChurnEngine::new`] requires: at least one
+    /// slot, a finite non-negative arrival rate, a mean lifetime of at
+    /// least one slot (`f64::INFINITY` allowed), and `packet_prob` in
+    /// `[0, 1]`.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.slots == 0 {
+            return Err("need at least one slot".into());
+        }
+        if !self.link_arrival_rate.is_finite() || self.link_arrival_rate < 0.0 {
+            return Err(format!(
+                "link arrival rate must be finite and >= 0, got {}",
+                self.link_arrival_rate
+            ));
+        }
+        if self.mean_lifetime.is_nan() || self.mean_lifetime < 1.0 {
+            return Err(format!(
+                "mean lifetime must be at least one slot, got {}",
+                self.mean_lifetime
+            ));
+        }
+        if !(0.0..=1.0).contains(&self.packet_prob) {
+            return Err(format!(
+                "packet probability must be in [0, 1], got {}",
+                self.packet_prob
+            ));
+        }
+        Ok(())
+    }
+
     /// Offered steady-state population `initial + λ·E[lifetime]`-ish
     /// sanity check helper: the equilibrium population of the M/G/∞
     /// arrival process alone (ignores the seed population draining).
@@ -174,77 +202,6 @@ struct LinkState {
     in_sub: bool,
 }
 
-/// Phase indices for the per-slot attribution (see [`PhaseTimer`]).
-/// `mutate` is building the slot's transaction (departure scan +
-/// arrival sampling); `commit` is [`Problem::apply`] plus the engine
-/// state bookkeeping the receipt drives.
-const PH_MUTATE: usize = 0;
-const PH_COMMIT: usize = 1;
-const PH_ENVELOPE: usize = 2;
-const PH_RESTRICT: usize = 3;
-const PH_SCHEDULE: usize = 4;
-const PH_SERVICE: usize = 5;
-/// Number of attributed phases.
-const PHASES: usize = 6;
-const PHASE_NAMES: [&str; PHASES] = [
-    "mutate", "commit", "envelope", "restrict", "schedule", "service",
-];
-
-/// Static, pre-registered histogram names for the six phases —
-/// resolved once at arm time so the hot path never touches the
-/// registry lock.
-const PHASE_HIST_NAMES: [&str; PHASES] = [
-    "churn.phase.mutate",
-    "churn.phase.commit",
-    "churn.phase.envelope",
-    "churn.phase.restrict",
-    "churn.phase.schedule",
-    "churn.phase.service",
-];
-
-/// Nanosecond bucket bounds for the phase histograms: 1 µs → 10 s in
-/// decades, fine enough to separate the `O(N)` walks from the
-/// scheduler at any instance size the engine runs.
-const PHASE_HIST_BOUNDS: [f64; 8] = [1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10];
-
-/// Segment stopwatch for phase attribution. `lap(phase)` charges the
-/// time since the previous lap to `phase`; segments of the same phase
-/// (the dense walks appear three times per slot) accumulate. When
-/// disarmed the laps are branch-only — no clock reads.
-struct PhaseTimer {
-    on: bool,
-    started: Instant,
-    mark: Instant,
-    acc: [u64; PHASES],
-}
-
-impl PhaseTimer {
-    fn start(on: bool) -> Self {
-        let now = Instant::now();
-        Self {
-            on,
-            started: now,
-            mark: now,
-            acc: [0; PHASES],
-        }
-    }
-
-    #[inline]
-    fn lap(&mut self, phase: usize) {
-        if self.on {
-            let now = Instant::now();
-            self.acc[phase] += (now - self.mark).as_nanos() as u64;
-            self.mark = now;
-        }
-    }
-
-    /// Whole-slot wall time so far — measured independently of the
-    /// laps, so the phase sum can be audited against it.
-    fn total_ns(&self) -> u64 {
-        self.started.elapsed().as_nanos() as u64
-    }
-}
-
 /// The flight-recorder side of the engine's telemetry: the obs-layer
 /// black box plus the engine-owned pieces it cannot know about — the
 /// dump directory and the last slot's restricted sub-instance (needed
@@ -260,16 +217,14 @@ struct FlightBox {
 }
 
 /// Live telemetry armed onto a [`ChurnEngine`]: optional slot series,
-/// optional flight recorder, pre-registered phase histograms, and the
-/// cumulative totals the anomaly detector audits.
+/// optional flight recorder, and the cumulative totals the watch view
+/// and the anomaly detector read.
 pub struct ChurnTelemetry {
     series: Option<SlotSeries>,
     flight: Option<FlightBox>,
-    phase_hists: [Histogram; PHASES],
-    slot_hist: Histogram,
-    /// Cumulative per-phase ns, for the live phase-split view.
-    phase_totals: [u64; PHASES],
-    slot_ns_total: u64,
+    /// Cumulative per-phase ns (the [`SlotRecord`] phase fields), for
+    /// the live phase-split view.
+    phase_totals: [u64; 6],
     /// Cumulative packet totals for the conservation audit.
     arrived_total: u64,
     delivered_total: u64,
@@ -293,12 +248,7 @@ impl ChurnTelemetry {
         Self {
             series: None,
             flight: None,
-            phase_hists: std::array::from_fn(|i| {
-                fading_obs::histogram(PHASE_HIST_NAMES[i], &PHASE_HIST_BOUNDS)
-            }),
-            slot_hist: fading_obs::histogram("churn.slot_ns", &PHASE_HIST_BOUNDS),
-            phase_totals: [0; PHASES],
-            slot_ns_total: 0,
+            phase_totals: [0; 6],
             arrived_total: 0,
             delivered_total: 0,
             abandoned_total: 0,
@@ -322,34 +272,33 @@ impl ChurnTelemetry {
     }
 
     /// Cumulative per-phase share of attributed time, as integer
-    /// percentages in phase order (mutate, commit, envelope, restrict,
-    /// schedule, service). Zero until the first timed slot.
-    pub fn phase_split(&self) -> [u32; PHASES] {
+    /// percentages in phase order (mutate, commit, walks, restrict,
+    /// schedule, service). Zero until the first armed slot.
+    pub fn phase_split(&self) -> [u32; 6] {
         let total: u64 = self.phase_totals.iter().sum();
         if total == 0 {
-            return [0; PHASES];
+            return [0; 6];
         }
-        std::array::from_fn(|i| (self.phase_totals[i] * 100 / total) as u32)
+        self.phase_totals.map(|ns| (ns * 100 / total) as u32)
     }
 
     /// Renders the live detail line for the watch view: phase split
     /// plus health, appended to the population/backlog basics.
     fn watch_detail(&self, out: &mut String, population: u32, backlog: u64) {
-        let split = self.phase_split();
-        let _ = write!(out, "pop {population} backlog {backlog} · ");
-        for (i, name) in PHASE_NAMES.iter().enumerate() {
-            let _ = write!(out, "{}{}%", &name[..2], split[i]);
-            if i + 1 < PHASE_NAMES.len() {
-                out.push('/');
-            }
-        }
-        let _ = write!(out, " · {}", self.health);
+        let [mu, co, wa, re, sc, se] = self.phase_split();
+        let _ = write!(
+            out,
+            "pop {population} backlog {backlog} · \
+             mu{mu}%/co{co}%/wa{wa}%/re{re}%/sc{sc}%/se{se}% · {}",
+            self.health
+        );
     }
 }
 
 /// Declarative telemetry selection for [`ChurnEngine::arm`]: choose a
-/// slot series, a flight recorder, both, or neither (bare phase
-/// attribution) and arm the whole bundle in one call.
+/// slot series, a flight recorder, both, or neither (bare per-slot
+/// records for the watch view's phase split) and arm the whole bundle
+/// in one call.
 ///
 /// ```ignore
 /// engine.arm(
@@ -365,8 +314,8 @@ pub struct TelemetryConfig {
 }
 
 impl TelemetryConfig {
-    /// An empty config — arming it still switches the engine onto the
-    /// timed path (phase attribution + histograms), nothing more.
+    /// An empty config — arming it still makes the engine build a
+    /// [`SlotRecord`] per slot for the live phase split, nothing more.
     pub fn new() -> Self {
         Self::default()
     }
@@ -461,8 +410,8 @@ pub struct ChurnEngine {
     rates: Vec<f64>,
     /// Cached backlog-active sub-problem (see [`SubCache`]).
     sub: Option<SubCache>,
-    /// Live telemetry (slot series / flight recorder / phase
-    /// attribution); `None` keeps the hot loop on the untimed path.
+    /// Live telemetry (slot series / flight recorder / phase split);
+    /// `None` skips the per-slot record. The phase spans run either way.
     telemetry: Option<Box<ChurnTelemetry>>,
     /// Scratch for the watch-view detail line.
     detail: String,
@@ -478,22 +427,11 @@ impl ChurnEngine {
     /// in-place mutations.
     ///
     /// # Panics
-    /// Panics on a non-finite/negative arrival rate, a lifetime below
-    /// one slot, `packet_prob` outside `[0, 1]`, or `slots == 0`.
+    /// Panics when [`ChurnConfig::validate`] rejects `cfg`.
     pub fn new(problem: Problem, geometry: UniformGenerator, cfg: ChurnConfig) -> Self {
-        assert!(
-            cfg.link_arrival_rate.is_finite() && cfg.link_arrival_rate >= 0.0,
-            "link arrival rate must be finite and non-negative"
-        );
-        assert!(
-            cfg.mean_lifetime >= 1.0,
-            "mean lifetime must be at least one slot"
-        );
-        assert!(
-            (0.0..=1.0).contains(&cfg.packet_prob),
-            "packet probability must be in [0,1]"
-        );
-        assert!(cfg.slots > 0, "need at least one slot");
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
         let n0 = problem.len();
         let mut churn_rng = seeded_rng(split_seed(cfg.seed, 0));
         let packet_rng = seeded_rng(split_seed(cfg.seed, 1));
@@ -535,8 +473,8 @@ impl ChurnEngine {
     }
 
     /// Arms live telemetry as declared by one [`TelemetryConfig`].
-    /// Arming anything — even an empty config — switches the engine
-    /// onto the timed path (phase attribution + histograms). Calling
+    /// Arming anything — even an empty config — makes the engine build
+    /// a [`SlotRecord`] per slot from its phase spans. Calling
     /// again merges: components present in `cfg` replace their armed
     /// counterparts, absent ones are left as they are.
     pub fn arm(&mut self, cfg: TelemetryConfig) {
@@ -592,6 +530,12 @@ impl ChurnEngine {
     /// schedule the backlogged sub-instance → channel realization →
     /// service.
     ///
+    /// The slot is the span `sim.churn.slot`, and its phases are child
+    /// spans: `mutate`, `commit`, `walks`, then — when some link is
+    /// backlogged — `restrict`, `schedule` and `service`. With
+    /// telemetry armed, the closed spans fill the slot's
+    /// [`SlotRecord`] timings.
+    ///
     /// While decision tracing is on, every slot is bracketed by
     /// `SlotStart`/`SlotEnd` markers whose links are live-problem dense
     /// ids; the scheduler's block in between uses the sub-problem's ids.
@@ -600,8 +544,7 @@ impl ChurnEngine {
         scheduler: &S,
         policy: ServicePolicy,
     ) -> ChurnSlot {
-        let _span = fading_obs::span!("sim.churn.slot");
-        let armed = self.telemetry.is_some();
+        let slot_span = Span::enter("sim.churn.slot");
         // Trace capture (flight recorder only): the engine owns the
         // global trace ring for the duration of each busy slot.
         let capture = self
@@ -612,7 +555,6 @@ impl ChurnEngine {
         // External tracing (e.g. `--trace-out`): capture switches
         // tracing off between slots, so this sees only a caller's.
         let traced = fading_obs::tracing_enabled();
-        let mut timer = PhaseTimer::start(armed);
         let t = self.slot;
         let mut abandoned = 0u64;
 
@@ -621,6 +563,7 @@ impl ChurnEngine {
         // under an infinite mean lifetime). Arrivals: Poisson count,
         // geometry sampled exactly like the seed generator's (sender
         // uniform in the region, length U[lo, hi], uniform direction).
+        let span = Span::enter("mutate");
         self.batch.clear();
         self.departing.clear();
         self.arrival_departs.clear();
@@ -640,7 +583,7 @@ impl ChurnEngine {
             self.batch.add(spec);
             self.arrival_departs.push(departs_at);
         }
-        timer.lap(PH_MUTATE);
+        let (mutate_ns, span) = span.handoff("commit");
 
         // Commit it: one `Problem::apply` — one envelope
         // reconciliation and one spatial-index patch pass for the whole
@@ -681,7 +624,7 @@ impl ChurnEngine {
                 fading_obs::counter!("sim.churn.link_arrivals").add(arrivals as u64);
             }
         }
-        timer.lap(PH_COMMIT);
+        let (commit_ns, walks) = span.handoff("walks");
 
         // Packet arrivals on the live population and the backlogged set
         // it leaves, one pass in dense order.
@@ -696,7 +639,6 @@ impl ChurnEngine {
                 self.backlogged.push(LinkId(dense as u32));
             }
         }
-        timer.lap(PH_ENVELOPE);
 
         // Schedule the backlogged sub-instance and realize the channel.
         let backlogged_count = self.backlogged.len() as u32;
@@ -706,6 +648,9 @@ impl ChurnEngine {
         let mut scheduled = 0u32;
         let mut delivered = 0u32;
         let mut slot_links = Vec::new();
+        let walks_ns;
+        let (mut restrict_ns, mut schedule_ns) = (0, 0);
+        let mut service = None;
         if capture {
             fading_obs::set_tracing(true);
         }
@@ -716,11 +661,17 @@ impl ChurnEngine {
             }]);
         }
         if busy {
+            let (ns, span) = walks.handoff("restrict");
+            walks_ns = ns;
             self.sync_sub(policy);
-            timer.lap(PH_RESTRICT);
+            let (ns, span) = span.handoff("schedule");
+            restrict_ns = ns;
             let cache = self.sub.as_ref().expect("sync_sub always leaves a cache");
             let schedule = scheduler.schedule_in(&cache.sub, &mut self.ctx);
-            timer.lap(PH_SCHEDULE);
+            let (ns, span) = span.handoff("service");
+            schedule_ns = ns;
+            // Open until the slot's accounting is done.
+            service = Some(span);
             scheduled = schedule.len() as u32;
             let mut channel_rng = seeded_rng(split_seed(self.cfg.seed, t + 2));
             let outcome = simulate_slot(&cache.sub, &schedule, &mut channel_rng);
@@ -737,6 +688,8 @@ impl ChurnEngine {
                     .collect();
             }
             self.ctx.recycle(schedule);
+        } else {
+            walks_ns = walks.close();
         }
         if bracket {
             fading_obs::trace::publish(vec![TraceEvent::SlotEnd {
@@ -751,9 +704,6 @@ impl ChurnEngine {
             fading_obs::set_tracing(false);
             sub_for_flight = self.sub.as_ref().map(|c| c.sub.clone());
         }
-        if busy {
-            timer.lap(PH_SERVICE);
-        }
 
         self.backlog = self.backlog + packets_arrived as u64 - abandoned - delivered as u64;
         debug_assert_eq!(
@@ -763,8 +713,8 @@ impl ChurnEngine {
                 .map(|s| s.queue.len() as u64)
                 .sum::<u64>()
         );
+        let service_ns = service.map_or(0, Span::close);
         let backlog = self.backlog;
-        timer.lap(PH_ENVELOPE);
         self.slot = t + 1;
         let out = ChurnSlot {
             slot: t,
@@ -777,7 +727,8 @@ impl ChurnEngine {
             packets_abandoned: abandoned,
             backlog,
         };
-        if armed {
+        let slot_ns = slot_span.close();
+        if self.telemetry.is_some() {
             let rec = SlotRecord {
                 slot: t,
                 population: out.population as u64,
@@ -790,13 +741,13 @@ impl ChurnEngine {
                 delivered: delivered as u64,
                 abandoned,
                 backlog,
-                mutate_ns: timer.acc[PH_MUTATE],
-                commit_ns: timer.acc[PH_COMMIT],
-                envelope_ns: timer.acc[PH_ENVELOPE],
-                restrict_ns: timer.acc[PH_RESTRICT],
-                schedule_ns: timer.acc[PH_SCHEDULE],
-                service_ns: timer.acc[PH_SERVICE],
-                slot_ns: timer.total_ns(),
+                mutate_ns,
+                commit_ns,
+                envelope_ns: walks_ns,
+                restrict_ns,
+                schedule_ns,
+                service_ns,
+                slot_ns,
             };
             self.finish_slot_telemetry(rec, trace_events, sub_for_flight);
         }
@@ -940,7 +891,7 @@ impl ChurnEngine {
         cache.sub.update_link_rates(&self.rates);
     }
 
-    /// The telemetry tail of one slot: series, histograms, anomaly
+    /// The telemetry tail of one slot: phase totals, series, anomaly
     /// detection, and (at most once) the post-mortem dump.
     fn finish_slot_telemetry(
         &mut self,
@@ -951,14 +902,17 @@ impl ChurnEngine {
         let Some(tel) = self.telemetry.as_deref_mut() else {
             return;
         };
-        for (i, h) in tel.phase_hists.iter().enumerate() {
-            h.record(timer_ns(&rec, i) as f64);
+        let phases = [
+            rec.mutate_ns,
+            rec.commit_ns,
+            rec.envelope_ns,
+            rec.restrict_ns,
+            rec.schedule_ns,
+            rec.service_ns,
+        ];
+        for (total, ns) in tel.phase_totals.iter_mut().zip(phases) {
+            *total += ns;
         }
-        tel.slot_hist.record(rec.slot_ns as f64);
-        for i in 0..PHASES {
-            tel.phase_totals[i] += timer_ns(&rec, i);
-        }
-        tel.slot_ns_total += rec.slot_ns;
         tel.arrived_total += rec.packets;
         tel.delivered_total += rec.delivered;
         tel.abandoned_total += rec.abandoned;
@@ -980,13 +934,6 @@ impl ChurnEngine {
             }
             if let Some(anomaly) = flight.rec.observe(&rec, trace_events, conserved) {
                 tel.health = anomaly.tag();
-                fading_obs::emit_event(
-                    "churn.anomaly",
-                    &[
-                        ("tag", fading_obs::EventValue::Str(anomaly.tag().into())),
-                        ("slot", fading_obs::EventValue::U64(rec.slot)),
-                    ],
-                );
                 if let Some(dir) = flight.out_dir.clone() {
                     match flight.rec.dump(&dir, &anomaly) {
                         Ok(_paths) => {
@@ -1000,8 +947,8 @@ impl ChurnEngine {
         }
     }
 
-    /// Runs the configured horizon and aggregates, timing the loop for
-    /// the sustained slots/sec figure. With telemetry armed the
+    /// Runs the configured horizon and aggregates, timing the loop (the
+    /// span `sim.churn.run`) for the sustained slots/sec figure. With telemetry armed the
     /// progress line grows a live phase split and health state (the
     /// `--watch` view); query [`telemetry`](Self::telemetry) afterwards
     /// for the series ring and any post-mortem location.
@@ -1010,7 +957,7 @@ impl ChurnEngine {
         scheduler: &S,
         policy: ServicePolicy,
     ) -> ChurnResult {
-        let _span = fading_obs::span!("sim.churn.run");
+        let span = Span::enter("sim.churn.run");
         let progress = fading_obs::Progress::new("churn", "slots", self.cfg.slots);
         let mut population = OnlineStats::new();
         let mut backlog_stats = OnlineStats::new();
@@ -1028,7 +975,6 @@ impl ChurnEngine {
             final_backlog: 0,
             slots_per_sec: 0.0,
         };
-        let started = std::time::Instant::now();
         for _ in 0..self.cfg.slots {
             let slot = self.step(scheduler, policy);
             out.links_arrived += slot.link_arrivals as u64;
@@ -1053,7 +999,7 @@ impl ChurnEngine {
             progress.report(slot.slot + 1, &detail, slot.slot + 1);
             self.detail = detail;
         }
-        let elapsed = started.elapsed().as_secs_f64();
+        let elapsed = span.close() as f64 * 1e-9;
         out.mean_population = population.mean();
         out.mean_backlog = backlog_stats.mean();
         out.final_population = self.population();
@@ -1070,18 +1016,6 @@ impl ChurnEngine {
             }
         }
         out
-    }
-}
-
-/// Maps a phase index to its field in a [`SlotRecord`].
-fn timer_ns(rec: &SlotRecord, phase: usize) -> u64 {
-    match phase {
-        PH_MUTATE => rec.mutate_ns,
-        PH_COMMIT => rec.commit_ns,
-        PH_ENVELOPE => rec.envelope_ns,
-        PH_RESTRICT => rec.restrict_ns,
-        PH_SCHEDULE => rec.schedule_ns,
-        _ => rec.service_ns,
     }
 }
 
@@ -1440,7 +1374,7 @@ mod tests {
 
     #[test]
     fn phase_timings_sum_close_to_slot_span() {
-        // Acceptance: the five attributed phases must account for the
+        // Acceptance: the six phase spans must account for the
         // slot span to within 5% (aggregated over the run, so one
         // preempted slot cannot fail the audit). The ring always keeps
         // timings, regardless of the stream's determinism mode.
@@ -1472,6 +1406,40 @@ mod tests {
         let split = tel.phase_split();
         assert!(split.iter().sum::<u32>() <= 100);
         assert!(split.iter().any(|&p| p > 0), "split {split:?} all zero");
+    }
+
+    #[test]
+    fn an_armed_step_closes_every_phase_span() {
+        // The phases are child spans of `sim.churn.slot` in the metrics
+        // registry. Counts only grow (other tests step engines in
+        // parallel), so compare before and after one busy step.
+        let phases = [
+            "mutate", "commit", "walks", "restrict", "schedule", "service",
+        ];
+        let count = |phase: &str| {
+            let name = format!("span.sim.churn.slot.{phase}");
+            fading_obs::snapshot()
+                .histograms
+                .get(&name)
+                .map_or(0, |h| h.count)
+        };
+        let mut e = engine(ChurnConfig {
+            packet_prob: 1.0,
+            ..cfg(1)
+        });
+        e.arm(TelemetryConfig::new());
+        let before = phases.map(count);
+        let slot = e.step(&GreedyRate, ServicePolicy::MaxWeight);
+        assert!(slot.scheduled > 0, "the step must be busy");
+        let after = phases.map(count);
+        for ((phase, b), a) in phases.iter().zip(before).zip(after) {
+            assert!(a > b, "span sim.churn.slot.{phase} did not record");
+        }
+        let tree = fading_obs::span_snapshot();
+        for phase in phases {
+            let path = format!("sim.churn.slot.{phase}");
+            assert!(fading_obs::span::find(&tree, &path).is_some(), "{path}");
+        }
     }
 
     #[test]

@@ -46,16 +46,15 @@ fn measure_point(
 ) -> Vec<MonteCarloStats> {
     let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
     fading_obs::gauge("sim.runner.threads").set(threads as f64);
-    // Summed per-instance busy time; divided by a point's wall time ×
-    // thread count it gives the instance-parallelism occupancy.
-    let busy_ms = fading_obs::counter!("sim.runner.instance_busy_ms");
     // Instances are independent and seeded, so evaluate them in
     // parallel; results are position-stable and bit-identical to the
-    // sequential order.
+    // sequential order. The `sim.runner.instance` span total, divided
+    // by a point's wall time × thread count, is the instance-parallelism
+    // occupancy.
     (0..config.instances)
         .into_par_iter()
         .map(|k| {
-            let started = std::time::Instant::now();
+            let _instance = fading_obs::span!("sim.runner.instance");
             let inst_seed = split_seed(point_seed, k as u64);
             let links = config.generator(n).generate(inst_seed);
             let params = ChannelParams::new(alpha, config.gamma_th, 1.0, 0.0);
@@ -67,22 +66,15 @@ fn measure_point(
                 let _span = fading_obs::span!("scheduler");
                 batch.schedule(scheduler, &problem)
             };
-            let stats = {
-                let _span = fading_obs::span!("simulation");
-                simulate_many(&problem, &schedule, config.trials, split_seed(inst_seed, 1))
-            };
-            busy_ms.add(started.elapsed().as_millis() as u64);
-            stats
+            let _span = fading_obs::span!("simulation");
+            simulate_many(&problem, &schedule, config.trials, split_seed(inst_seed, 1))
         })
         .collect()
 }
 
-/// Per-sweep progress and timing state shared by [`sweep_n`] /
-/// [`sweep_alpha`].
+/// Per-sweep progress state shared by [`sweep_n`] / [`sweep_alpha`].
 struct SweepMeter {
     progress: fading_obs::Progress,
-    point_ms: fading_obs::Histogram,
-    last_point_ms: fading_obs::Gauge,
     done: u64,
     trials_done: u64,
 }
@@ -91,19 +83,14 @@ impl SweepMeter {
     fn new(points: u64) -> Self {
         Self {
             progress: fading_obs::Progress::new("point", "trials", points),
-            point_ms: fading_obs::histogram(
-                "sim.runner.point_ms",
-                &[10.0, 100.0, 1_000.0, 10_000.0, 100_000.0, 1_000_000.0],
-            ),
-            last_point_ms: fading_obs::gauge("sim.runner.last_point_ms"),
             done: 0,
             trials_done: 0,
         }
     }
 }
 
-/// Measures one sweep point and aggregates it into a row, recording
-/// wall time, progress, and a structured event along the way.
+/// Measures one sweep point (the span `sim.runner.point`) and
+/// aggregates it into a row, reporting progress along the way.
 #[allow(clippy::too_many_arguments)]
 fn measured_row(
     config: &ExperimentConfig,
@@ -116,15 +103,13 @@ fn measured_row(
     meter: &mut SweepMeter,
     batch: &crate::batch::BatchRunner,
 ) -> ResultRow {
-    let started = std::time::Instant::now();
+    let point = fading_obs::span!("sim.runner.point");
     let stats = measure_point(config, n, alpha, scheduler, point_seed, batch);
     let row = {
         let _span = fading_obs::span!("aggregation");
         aggregate_row(axis_label, x, scheduler.name(), &stats)
     };
-    let ms = started.elapsed().as_secs_f64() * 1e3;
-    meter.point_ms.record(ms);
-    meter.last_point_ms.set(ms);
+    drop(point);
     let point_trials = config.trials * config.instances as u64;
     meter.done += 1;
     meter.trials_done += point_trials;
@@ -132,16 +117,6 @@ fn measured_row(
         meter.done,
         &format!("{axis_label}={x} · scheduler={}", scheduler.name()),
         meter.trials_done,
-    );
-    fading_obs::emit_event(
-        "sweep_point",
-        &[
-            ("axis", axis_label.into()),
-            ("x", x.into()),
-            ("scheduler", scheduler.name().into()),
-            ("wall_ms", ms.into()),
-            ("trials", point_trials.into()),
-        ],
     );
     row
 }
