@@ -8,7 +8,8 @@
 //! * [`batch`] — pooled scheduling workspaces so sweep workers reuse
 //!   warm scratch arenas instead of allocating per instance;
 //! * [`slot`] — one channel realization of a schedule, drawn from the
-//!   pair's [`GainTable`] of path-loss means;
+//!   pair's [`GainTable`] of path-loss means and per-link Theorem 3.1
+//!   success probabilities;
 //! * [`monte_carlo`] — many independent realizations in parallel
 //!   (rayon), reduced in trial order into thread-count-invariant
 //!   statistics;
@@ -24,7 +25,6 @@
 pub mod batch;
 pub mod churn;
 pub mod config;
-pub mod convergence;
 pub mod monte_carlo;
 pub mod results;
 pub mod robustness;
@@ -37,7 +37,6 @@ pub use churn::{
     ServicePolicy, TelemetryConfig,
 };
 pub use config::ExperimentConfig;
-pub use convergence::{convergence_trace, trials_for_ci, TracePoint};
 pub use monte_carlo::{simulate_many, MonteCarloStats};
 pub use results::{ResultRow, ResultTable};
 pub use robustness::{

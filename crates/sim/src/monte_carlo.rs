@@ -1,9 +1,11 @@
 //! Parallel Monte-Carlo estimation of slot metrics.
 //!
 //! A call builds the pair's [`GainTable`] once and every trial realizes
-//! it read-only. Trials are embarrassingly parallel: each gets an
-//! independent RNG stream derived from `(base_seed, trial_index)` via
-//! SplitMix. The per-trial `(failed, delivered)` pairs are collected
+//! it read-only: a Rayleigh trial draws one uniform per scheduled link
+//! against its Theorem 3.1 success probability `p_j`, and the table's
+//! exact expectations are reported beside the sample means. Trials are
+//! embarrassingly parallel: each gets an independent RNG stream derived
+//! from `(base_seed, trial_index)` via SplitMix. The per-trial `(failed, delivered)` pairs are collected
 //! position-stably and pushed into the Welford accumulators in trial
 //! order, so the statistics are bit-identical regardless of thread
 //! count (and to the sequential small-`trials` path). Merging per-thread
@@ -28,6 +30,13 @@ pub struct MonteCarloStats {
     pub failed: Summary,
     /// Delivered rate per slot (realized throughput).
     pub throughput: Summary,
+    /// Exact Rayleigh expected failures per slot, `Σ_j (1 − p_j)`. The
+    /// Nakagami and shadowed harnesses report the same Rayleigh value:
+    /// the reference their channel deviates from.
+    pub failed_exact: f64,
+    /// Exact Rayleigh expected delivered rate per slot, `Σ_j λ_j·p_j`
+    /// (the Rayleigh reference under the other laws, as above).
+    pub throughput_exact: f64,
 }
 
 /// Number of trials below which the parallel split isn't worth it.
@@ -56,24 +65,22 @@ pub fn simulate_many(
     base_seed: u64,
 ) -> MonteCarloStats {
     let table = GainTable::new(problem, schedule);
-    let stats = monte_carlo(problem, schedule, trials, base_seed, |rng| {
-        table.realize(rng)
-    });
+    let stats = monte_carlo(&table, trials, base_seed, |rng| table.realize(rng));
     fading_obs::counter!("channel.rayleigh.draws").add(trials * table.draws());
     fading_obs::counter!("sim.mc.trials").add(trials);
     fading_obs::counter!("sim.mc.batches").incr();
     stats
 }
 
-/// Runs `trials` realizations `realize(rng_t)`, trial `t` on the stream
-/// `split_seed(base_seed, t)`, and summarizes failures and delivered
-/// rate in trial order (thread-count invariant; see the module docs).
+/// Runs `trials` realizations `realize(rng_t)` of `table`'s pair, trial
+/// `t` on the stream `split_seed(base_seed, t)`, and summarizes failures
+/// and delivered rate in trial order (thread-count invariant; see the
+/// module docs).
 ///
 /// # Panics
 /// Panics if `trials == 0`.
 pub(crate) fn monte_carlo<F>(
-    problem: &Problem,
-    schedule: &Schedule,
+    table: &GainTable,
     trials: u64,
     base_seed: u64,
     realize: F,
@@ -98,10 +105,12 @@ where
         throughput.push(dr);
     }
     MonteCarloStats {
-        scheduled: schedule.len(),
-        scheduled_rate: schedule.utility(problem),
+        scheduled: table.len(),
+        scheduled_rate: table.scheduled_rate(),
         failed: failed.summary(),
         throughput: throughput.summary(),
+        failed_exact: table.expected_failures(),
+        throughput_exact: table.expected_throughput(),
     }
 }
 

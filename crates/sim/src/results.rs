@@ -26,6 +26,12 @@ pub struct ResultRow {
     pub throughput_mean: f64,
     /// 95% CI half-width of the throughput mean.
     pub throughput_ci95: f64,
+    /// Mean exact Rayleigh expected failures per slot
+    /// ([`MonteCarloStats::failed_exact`]).
+    pub failed_exact_mean: f64,
+    /// Mean exact Rayleigh expected delivered rate per slot
+    /// ([`MonteCarloStats::throughput_exact`]).
+    pub throughput_exact_mean: f64,
     /// Instances aggregated.
     pub instances: usize,
     /// Trials per instance.
@@ -83,20 +89,30 @@ impl ResultTable {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:>8} {:>8} {:<18} {:>10} {:>12} {:>14} {:>14}",
-            "x_label", "x", "algorithm", "scheduled", "failed/slot", "±95%", "throughput"
+            "{:>8} {:>8} {:<18} {:>10} {:>12} {:>14} {:>12} {:>14} {:>14}",
+            "x_label",
+            "x",
+            "algorithm",
+            "scheduled",
+            "failed/slot",
+            "±95%",
+            "exact",
+            "throughput",
+            "exact"
         );
         for r in &self.rows {
             let _ = writeln!(
                 out,
-                "{:>8} {:>8.3} {:<18} {:>10.2} {:>12.4} {:>14.4} {:>14.3}",
+                "{:>8} {:>8.3} {:<18} {:>10.2} {:>12.4} {:>14.4} {:>12.4} {:>14.3} {:>14.3}",
                 r.x_label,
                 r.x,
                 r.algorithm,
                 r.scheduled_mean,
                 r.failed_mean,
                 r.failed_ci95,
-                r.throughput_mean
+                r.failed_exact_mean,
+                r.throughput_mean,
+                r.throughput_exact_mean
             );
         }
         out
@@ -105,12 +121,12 @@ impl ResultTable {
     /// Renders CSV with a header line.
     pub fn render_csv(&self) -> String {
         let mut out = String::from(
-            "x_label,x,algorithm,scheduled_mean,scheduled_rate_mean,failed_mean,failed_ci95,throughput_mean,throughput_ci95,instances,trials\n",
+            "x_label,x,algorithm,scheduled_mean,scheduled_rate_mean,failed_mean,failed_ci95,failed_exact_mean,throughput_mean,throughput_ci95,throughput_exact_mean,instances,trials\n",
         );
         for r in &self.rows {
             let _ = writeln!(
                 out,
-                "{},{},{},{},{},{},{},{},{},{},{}",
+                "{},{},{},{},{},{},{},{},{},{},{},{},{}",
                 r.x_label,
                 r.x,
                 r.algorithm,
@@ -118,8 +134,10 @@ impl ResultTable {
                 r.scheduled_rate_mean,
                 r.failed_mean,
                 r.failed_ci95,
+                r.failed_exact_mean,
                 r.throughput_mean,
                 r.throughput_ci95,
+                r.throughput_exact_mean,
                 r.instances,
                 r.trials
             );
@@ -142,12 +160,11 @@ pub fn aggregate_row(
 ) -> ResultRow {
     assert!(!per_instance.is_empty(), "need at least one instance");
     let n = per_instance.len() as f64;
-    let scheduled_mean = per_instance.iter().map(|s| s.scheduled as f64).sum::<f64>() / n;
-    let scheduled_rate_mean = per_instance.iter().map(|s| s.scheduled_rate).sum::<f64>() / n;
     // Means of means (each instance weighs equally, as in the paper's
     // per-point averages); CI via the pooled per-instance CI widths.
-    let failed_mean = per_instance.iter().map(|s| s.failed.mean).sum::<f64>() / n;
-    let throughput_mean = per_instance.iter().map(|s| s.throughput.mean).sum::<f64>() / n;
+    let mean = |f: &dyn Fn(&MonteCarloStats) -> f64| -> f64 {
+        per_instance.iter().map(f).sum::<f64>() / n
+    };
     // Conservative pooled CI: RMS of instance CIs scaled by 1/√instances.
     let pooled = |f: &dyn Fn(&MonteCarloStats) -> f64| -> f64 {
         (per_instance.iter().map(|s| f(s).powi(2)).sum::<f64>() / n).sqrt() / n.sqrt()
@@ -156,12 +173,14 @@ pub fn aggregate_row(
         x_label: x_label.to_string(),
         x,
         algorithm: algorithm.to_string(),
-        scheduled_mean,
-        scheduled_rate_mean,
-        failed_mean,
+        scheduled_mean: mean(&|s| s.scheduled as f64),
+        scheduled_rate_mean: mean(&|s| s.scheduled_rate),
+        failed_mean: mean(&|s| s.failed.mean),
         failed_ci95: pooled(&|s| s.failed.ci95),
-        throughput_mean,
+        throughput_mean: mean(&|s| s.throughput.mean),
         throughput_ci95: pooled(&|s| s.throughput.ci95),
+        failed_exact_mean: mean(&|s| s.failed_exact),
+        throughput_exact_mean: mean(&|s| s.throughput_exact),
         instances: per_instance.len(),
         trials: per_instance.first().map_or(0, |s| s.failed.count),
     }
@@ -186,6 +205,8 @@ mod tests {
             scheduled_rate: scheduled as f64,
             failed: s(failed_mean),
             throughput: s(throughput_mean),
+            failed_exact: failed_mean,
+            throughput_exact: throughput_mean,
         }
     }
 

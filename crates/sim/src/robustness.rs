@@ -33,7 +33,7 @@ pub fn simulate_many_nakagami(
 ) -> MonteCarloStats {
     let channel = NakagamiChannel::new(*problem.params(), m);
     let table = GainTable::new(problem, schedule);
-    monte_carlo(problem, schedule, trials, base_seed, |rng| {
+    monte_carlo(&table, trials, base_seed, |rng| {
         table.realize_with(rng, |rng, _, _, mean| {
             sample_gamma(rng, channel.m, mean / channel.m)
         })
@@ -54,7 +54,7 @@ pub fn simulate_many_shadowed(
     let channel = ShadowedRayleigh::new(*problem.params(), sigma_db);
     let table = GainTable::new(problem, schedule);
     let k = table.len();
-    monte_carlo(problem, schedule, trials, base_seed, |rng| {
+    monte_carlo(&table, trials, base_seed, |rng| {
         // Quasi-static shadowing: one factor per (sender i, receiver j)
         // pair at `i·k + j`, fixed for the whole realization.
         let shadow: Vec<f64> = (0..k * k)

@@ -1,27 +1,31 @@
 //! One time-slot channel realization.
 //!
-//! For every scheduled link `j`, draw the desired-signal power
+//! For every scheduled link `j`, the desired-signal power
 //! `Z_{j,j} ~ Exp(P·d_jj^{−α})` and each interferer's power
-//! `Z_{i,j} ~ Exp(P·d_ij^{−α})` independently (the Rayleigh model,
-//! Eq. (5)), then test the realized SINR against `γ_th` (Eq. (7)–(8)).
+//! `Z_{i,j} ~ Exp(P·d_ij^{−α})` are independent (the Rayleigh model,
+//! Eq. (5)), and `j` succeeds iff its realized SINR clears `γ_th`
+//! (Eq. (7)–(8)).
 //!
 //! The path-loss means depend only on the (problem, schedule) pair, so
 //! they are computed once into a [`GainTable`]: the `k×k` array of
 //! `P·d^{−α}` over the `k` scheduled links, with each member's power
-//! scale and rate. Every realization of the pair reads the table, and a
-//! draw costs one uniform, one `ln` and one multiply. The Monte-Carlo
-//! loops build the table once per call and share it read-only across
-//! trials and threads.
+//! scale and rate. Link `j`'s outcome depends only on column `j` of the
+//! gains, so receivers succeed independently, each with the Theorem 3.1
+//! probability (plus the noise term)
+//! `p_j = exp(−γ_th·N₀/(s_j·m_jj)) · Π_{i≠j} 1/(1 + γ_th·s_i·m_ij/(s_j·m_jj))`
+//! over the means `m` and power scales `s`. The table holds `p_j` too,
+//! and a Rayleigh realization is one uniform per link: exact, not an
+//! approximation. The Monte-Carlo loops build the table once per call
+//! and share it read-only across trials and threads.
 //!
-//! **Draw order.** A realization draws, for each receiver `j` in
-//! schedule order, its signal first and then each interferer `i ≠ j` in
-//! schedule order; the SINR test sums the interferers in that order
-//! (compensated). Each sample is `Exponential::with_mean(mean · scale)`,
-//! the exact expression of `RayleighChannel::sample_gain_scaled`, so a
-//! seeded stream yields the same gains, and the same outcome, as drawing
-//! pair by pair from the channel. The Rayleigh, Nakagami-m and
-//! shadowed-Rayleigh Monte-Carlo harnesses all walk this one loop, each
-//! with its own sampler over the table's means.
+//! **Draw order.** A Rayleigh realization ([`GainTable::realize`])
+//! draws one uniform `u` per receiver in schedule order; the link
+//! succeeds iff `u < p_j`. The laws with no product form (Nakagami-m,
+//! shadowed Rayleigh, and the realized SINRs behind the histogram) walk
+//! the `k²` gains instead: for each receiver `j` in schedule order, its
+//! signal first and then each interferer `i ≠ j` in schedule order; the
+//! SINR test sums the interferers in that order (compensated). A
+//! Rayleigh gain there is `Exponential::with_mean(mean · scale)`.
 //!
 //! Every draw is scaled by the problem's per-link power scale. The
 //! online engine and the multi-slot loop hand this module *residual*
@@ -37,7 +41,7 @@ use fading_net::LinkId;
 use rand::Rng;
 
 /// Outcome of one slot realization.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SlotOutcome {
     /// Links whose realized SINR cleared `γ_th`.
     pub successes: Vec<LinkId>,
@@ -84,11 +88,16 @@ pub struct GainTable {
     scale: Vec<f64>,
     /// Per-member data rate.
     rate: Vec<f64>,
+    /// Per-member Rayleigh success probability `p_j` (module docs).
+    success: Vec<f64>,
 }
 
 impl GainTable {
     /// Computes the table of `schedule` on `problem`: `k²` path-loss
-    /// means plus `k` power scales and rates.
+    /// means plus `k` power scales, rates and success probabilities.
+    /// `p_j` starts at the noise factor `exp(−(γ_th·N₀)/S_j)` with
+    /// `S_j = s_j·m_jj`, then is divided by `1 + γ_th·s_i·m_ij/S_j` for
+    /// each interferer `i ≠ j` in schedule order.
     ///
     /// # Panics
     /// Panics if a sender sits on an interfered receiver (distance 0;
@@ -97,8 +106,15 @@ impl GainTable {
         let params = *problem.params();
         let links = problem.links();
         let members: Vec<LinkId> = schedule.iter().collect();
-        let mut mean = Vec::with_capacity(members.len() * members.len());
-        for &j in &members {
+        let scale: Vec<f64> = members.iter().map(|&i| problem.power_scale(i)).collect();
+        debug_assert!(
+            scale.iter().all(|&s| s > 0.0),
+            "power scale must be positive"
+        );
+        let k = members.len();
+        let mut mean = Vec::with_capacity(k * k);
+        let mut success = Vec::with_capacity(k);
+        for (jp, &j) in members.iter().enumerate() {
             mean.extend(members.iter().map(|&i| {
                 let d = if i == j {
                     links.length(j)
@@ -107,12 +123,14 @@ impl GainTable {
                 };
                 params.mean_gain(d)
             }));
+            let row = &mean[jp * k..];
+            let signal = scale[jp] * row[jp];
+            let noise = (-(params.gamma_th * params.noise) / signal).exp();
+            let p = (0..k).filter(|&i| i != jp).fold(noise, |p, i| {
+                p / (1.0 + params.gamma_th * scale[i] * row[i] / signal)
+            });
+            success.push(p);
         }
-        let scale: Vec<f64> = members.iter().map(|&i| problem.power_scale(i)).collect();
-        debug_assert!(
-            scale.iter().all(|&s| s > 0.0),
-            "power scale must be positive"
-        );
         let rate = members.iter().map(|&j| problem.rate(j)).collect();
         Self {
             params,
@@ -120,6 +138,7 @@ impl GainTable {
             mean,
             scale,
             rate,
+            success,
         }
     }
 
@@ -128,37 +147,57 @@ impl GainTable {
         self.members.len()
     }
 
-    /// One Rayleigh realization of the slot. Does not touch the
-    /// `channel.rayleigh.draws` counter: [`simulate_slot`] and the
-    /// Monte-Carlo loops add `k²` per realization in one batch.
+    /// Per-member Rayleigh success probability `p_j`, in schedule order.
+    pub fn success_probabilities(&self) -> &[f64] {
+        &self.success
+    }
+
+    /// Exact expected failures per slot, `Σ_j (1 − p_j)`.
+    pub fn expected_failures(&self) -> f64 {
+        self.success.iter().map(|p| 1.0 - p).sum()
+    }
+
+    /// Exact expected delivered rate per slot, `Σ_j λ_j·p_j`.
+    pub fn expected_throughput(&self) -> f64 {
+        self.rate
+            .iter()
+            .zip(&self.success)
+            .map(|(r, p)| r * p)
+            .sum()
+    }
+
+    /// Total scheduled rate, summed in schedule order.
+    pub(crate) fn scheduled_rate(&self) -> f64 {
+        self.rate.iter().sum()
+    }
+
+    /// One Rayleigh realization of the slot: one uniform per member in
+    /// schedule order, a success iff it falls below `p_j`. Does not
+    /// touch the `channel.rayleigh.draws` counter: [`simulate_slot`]
+    /// and the Monte-Carlo loops add `k` per realization in one batch.
     pub fn realize<R: Rng + ?Sized>(&self, rng: &mut R) -> SlotOutcome {
-        self.realize_with(rng, |rng, _, i, mean| self.rayleigh(rng, i, mean))
+        let mut out = SlotOutcome::default();
+        for (j, &p) in self.success.iter().enumerate() {
+            self.tally(&mut out, j, rng.gen::<f64>() < p);
+        }
+        out
     }
 
     /// One Rayleigh realization's SINR per scheduled link, in schedule
-    /// order (same draws as [`Self::realize`]).
+    /// order, from the `k²` walk.
     pub(crate) fn sinrs<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<(LinkId, f64)> {
         let mut out = Vec::with_capacity(self.len());
         self.walk(
             rng,
-            |rng, _, i, mean| self.rayleigh(rng, i, mean),
+            |rng, _, i, mean| Exponential::with_mean(mean * self.scale[i]).sample(rng),
             |j, outcome| out.push((self.members[j], outcome.sinr)),
         );
         out
     }
 
-    /// Gains drawn per realization: `k²` (each receiver's signal plus
-    /// its `k − 1` interferers).
+    /// Uniforms drawn per Rayleigh realization: `k`, one per receiver.
     pub(crate) fn draws(&self) -> u64 {
-        let k = self.len() as u64;
-        k * k
-    }
-
-    /// The Rayleigh power from sender `i` at path-loss mean `mean`: the
-    /// expression of `RayleighChannel::sample_gain_scaled`.
-    #[inline]
-    fn rayleigh<R: Rng + ?Sized>(&self, rng: &mut R, i: usize, mean: f64) -> f64 {
-        Exponential::with_mean(mean * self.scale[i]).sample(rng)
+        self.len() as u64
     }
 
     /// One realization under an arbitrary power-gain law:
@@ -169,21 +208,20 @@ impl GainTable {
         R: Rng + ?Sized,
         D: FnMut(&mut R, usize, usize, f64) -> f64,
     {
-        let mut successes = Vec::new();
-        let mut failures = Vec::new();
-        let mut delivered_rate = 0.0;
+        let mut out = SlotOutcome::default();
         self.walk(rng, draw, |j, outcome| {
-            if outcome.success {
-                successes.push(self.members[j]);
-                delivered_rate += self.rate[j];
-            } else {
-                failures.push(self.members[j]);
-            }
+            self.tally(&mut out, j, outcome.success)
         });
-        SlotOutcome {
-            successes,
-            failures,
-            delivered_rate,
+        out
+    }
+
+    /// Records member `j`'s verdict in `out`.
+    fn tally(&self, out: &mut SlotOutcome, j: usize, success: bool) {
+        if success {
+            out.successes.push(self.members[j]);
+            out.delivered_rate += self.rate[j];
+        } else {
+            out.failures.push(self.members[j]);
         }
     }
 

@@ -1,57 +1,93 @@
-//! The gain table realizes exactly what the per-draw channel loop drew.
+//! The gain table realizes exactly what its oracles draw.
 //!
-//! The oracle below is the per-draw slot loop: it asks the channel for
-//! every gain pair by pair (`sample_gain_scaled`, path loss recomputed
-//! per draw). For the same seed, `simulate_slot` must return the
-//! identical `SlotOutcome` and `simulate_many` the identical
-//! `MonteCarloStats` — on random instances with non-uniform power
-//! scales and rates, residual sub-problems, both interference backends,
-//! noisy channels, and empty and singleton schedules.
+//! Two oracles, both recomputing path loss per pair through
+//! `problem.channel()`:
+//!
+//! * the per-draw `k²` walk draws every gain pair by pair
+//!   (`Exponential::with_mean(mean · scale)`), and `realized_sinrs` must
+//!   return the identical SINRs;
+//! * the one-uniform-per-link oracle recomputes each link's Theorem 3.1
+//!   success probability `p_j` (noise factor first, then divided by
+//!   `1 + γ_th·s_i·m_ij/(s_j·m_jj)` per interferer in schedule order) and
+//!   draws one uniform per receiver; `simulate_slot` must return the
+//!   identical `SlotOutcome` and `simulate_many` the identical
+//!   `MonteCarloStats`, exact expectations included.
+//!
+//! Both hold on random instances with non-uniform power scales and
+//! rates, residual sub-problems, both interference backends, noisy
+//! channels, and empty and singleton schedules.
 
 use fading_channel::{sinr_of, ChannelParams};
 use fading_core::{BackendChoice, Problem, Schedule, SparseConfig};
-use fading_math::{seeded_rng, split_seed, OnlineStats};
+use fading_math::{seeded_rng, split_seed, Exponential, OnlineStats};
 use fading_net::{Link, LinkId, LinkSet, TopologyGenerator, UniformGenerator};
-use fading_sim::{simulate_many, simulate_slot, MonteCarloStats, SlotOutcome};
+use fading_sim::{realized_sinrs, simulate_many, simulate_slot, MonteCarloStats, SlotOutcome};
 use proptest::prelude::*;
 use rand::Rng;
 
-/// One slot drawn pair by pair from the channel.
+/// One realization's SINRs, every gain drawn pair by pair.
+fn oracle_sinrs<R: Rng + ?Sized>(
+    problem: &Problem,
+    schedule: &Schedule,
+    rng: &mut R,
+) -> Vec<(LinkId, f64)> {
+    let params = problem.channel().params;
+    let links = problem.links();
+    let gain = |rng: &mut R, d: f64, i: LinkId| {
+        Exponential::with_mean(params.mean_gain(d) * problem.power_scale(i)).sample(rng)
+    };
+    let mut out = Vec::new();
+    for j in schedule.iter() {
+        let signal = gain(rng, links.length(j), j);
+        let interference: Vec<f64> = schedule
+            .iter()
+            .filter(|&i| i != j)
+            .map(|i| gain(rng, links.sender_receiver_distance(i, j), i))
+            .collect();
+        out.push((j, sinr_of(problem.params(), signal, interference).sinr));
+    }
+    out
+}
+
+/// Each scheduled link's Rayleigh success probability, in schedule
+/// order, from distances, power scales and `N₀`.
+fn oracle_success(problem: &Problem, schedule: &Schedule) -> Vec<f64> {
+    let params = problem.channel().params;
+    let links = problem.links();
+    let g = params.gamma_th;
+    schedule
+        .iter()
+        .map(|j| {
+            let signal = problem.power_scale(j) * params.mean_gain(links.length(j));
+            let noise = (-(g * params.noise) / signal).exp();
+            schedule.iter().filter(|&i| i != j).fold(noise, |p, i| {
+                let m = params.mean_gain(links.sender_receiver_distance(i, j));
+                p / (1.0 + g * problem.power_scale(i) * m / signal)
+            })
+        })
+        .collect()
+}
+
+/// One slot: one uniform per scheduled link against its `p_j`.
 fn oracle_slot<R: Rng + ?Sized>(
     problem: &Problem,
     schedule: &Schedule,
     rng: &mut R,
 ) -> SlotOutcome {
-    let channel = problem.channel();
-    let links = problem.links();
-    let mut successes = Vec::new();
-    let mut failures = Vec::new();
-    let mut delivered_rate = 0.0;
-    for j in schedule.iter() {
-        let signal = channel.sample_gain_scaled(rng, links.length(j), problem.power_scale(j));
-        let interference = schedule.iter().filter(|&i| i != j).map(|i| {
-            channel.sample_gain_scaled(
-                rng,
-                links.sender_receiver_distance(i, j),
-                problem.power_scale(i),
-            )
-        });
-        if sinr_of(problem.params(), signal, interference).success {
-            successes.push(j);
-            delivered_rate += problem.rate(j);
+    let mut out = SlotOutcome::default();
+    for (j, p) in schedule.iter().zip(oracle_success(problem, schedule)) {
+        if rng.gen::<f64>() < p {
+            out.successes.push(j);
+            out.delivered_rate += problem.rate(j);
         } else {
-            failures.push(j);
+            out.failures.push(j);
         }
     }
-    SlotOutcome {
-        successes,
-        failures,
-        delivered_rate,
-    }
+    out
 }
 
 /// `trials` oracle slots on the per-trial streams, summarized in trial
-/// order.
+/// order, with the exact expectations.
 fn oracle_many(problem: &Problem, schedule: &Schedule, trials: u64, seed: u64) -> MonteCarloStats {
     let mut failed = OnlineStats::new();
     let mut throughput = OnlineStats::new();
@@ -60,11 +96,18 @@ fn oracle_many(problem: &Problem, schedule: &Schedule, trials: u64, seed: u64) -
         failed.push(out.failed_count() as f64);
         throughput.push(out.delivered_rate);
     }
+    let success = oracle_success(problem, schedule);
     MonteCarloStats {
         scheduled: schedule.len(),
         scheduled_rate: schedule.utility(problem),
         failed: failed.summary(),
         throughput: throughput.summary(),
+        failed_exact: success.iter().map(|p| 1.0 - p).sum(),
+        throughput_exact: schedule
+            .iter()
+            .zip(&success)
+            .map(|(j, p)| problem.rate(j) * p)
+            .sum(),
     }
 }
 
@@ -117,6 +160,10 @@ fn assert_matches_oracle(problem: &Problem, schedule: &Schedule, trials: u64, se
             simulate_slot(problem, schedule, &mut seeded_rng(s)),
             oracle_slot(problem, schedule, &mut seeded_rng(s)),
         );
+        assert_eq!(
+            realized_sinrs(problem, schedule, &mut seeded_rng(s)),
+            oracle_sinrs(problem, schedule, &mut seeded_rng(s)),
+        );
     }
     assert_eq!(
         simulate_many(problem, schedule, trials, seed),
@@ -128,7 +175,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn gain_table_matches_the_per_draw_oracle(
+    fn gain_table_matches_its_oracles(
         (n, seed, alpha_pick) in (1usize..40, 0u64..10_000, 0usize..3),
         (noisy, sparse, residual) in (0usize..2, 0usize..2, 0usize..2),
         (density, trials) in (0.0f64..1.0, 1u64..80),
@@ -141,7 +188,7 @@ proptest! {
 }
 
 #[test]
-fn empty_and_singleton_schedules_match_the_oracle() {
+fn empty_and_singleton_schedules_match_the_oracles() {
     for (sparse, residual) in [(false, false), (true, true)] {
         let p = instance(12, 5, 3.0, true, sparse, residual);
         assert_matches_oracle(&p, &Schedule::empty(), 40, 9);

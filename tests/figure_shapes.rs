@@ -4,7 +4,7 @@
 
 use fading_rls::core::Scheduler;
 use fading_rls::prelude::*;
-use fading_rls::sim::{sweep_alpha, sweep_n, ExperimentConfig};
+use fading_rls::sim::{sweep_alpha, sweep_n, ExperimentConfig, ResultTable};
 
 fn cfg() -> ExperimentConfig {
     ExperimentConfig {
@@ -18,6 +18,22 @@ fn cfg() -> ExperimentConfig {
     }
 }
 
+/// Every row's Monte-Carlo failure mean sits near the exact Theorem 3.1
+/// expectation it estimates.
+fn assert_failures_match_exact(t: &ResultTable) {
+    for row in &t.rows {
+        assert!(
+            (row.failed_mean - row.failed_exact_mean).abs() <= 4.0 * row.failed_ci95 + 0.05,
+            "{} at {}={}: sampled {} vs exact {}",
+            row.algorithm,
+            row.x_label,
+            row.x,
+            row.failed_mean,
+            row.failed_exact_mean
+        );
+    }
+}
+
 #[test]
 fn fig5a_shape_failures_vs_n() {
     let schedulers: [&dyn Scheduler; 4] = [
@@ -27,6 +43,7 @@ fn fig5a_shape_failures_vs_n() {
         &ApproxDiversity::new(),
     ];
     let t = sweep_n(&cfg(), &schedulers);
+    assert_failures_match_exact(&t);
     // LDP and RLE: essentially zero failures at every N.
     for name in ["LDP", "RLE"] {
         for row in t.series(name) {
@@ -60,6 +77,7 @@ fn fig5a_shape_failures_vs_n() {
 fn fig5b_shape_failures_vs_alpha() {
     let schedulers: [&dyn Scheduler; 2] = [&ApproxLogN, &ApproxDiversity::new()];
     let t = sweep_alpha(&cfg(), &schedulers);
+    assert_failures_match_exact(&t);
     // Per-link failure rate decreases as α grows (the paper's Fig. 5(b)
     // observation via Eq. (17); the absolute count is confounded by the
     // α-dependent schedule size — see EXPERIMENTS.md).

@@ -79,15 +79,22 @@ fn golden_monte_carlo_statistics() {
     // Bit-reproducible across thread counts by construction.
     assert_eq!(stats.scheduled, 62);
     assert!(
-        (stats.failed.mean - 1.73).abs() < 1e-9,
+        (stats.failed.mean - 1.798).abs() < 1e-9,
         "{}",
         stats.failed.mean
     );
     assert!(
-        (stats.throughput.mean - 60.27).abs() < 1e-9,
+        (stats.throughput.mean - 60.202).abs() < 1e-9,
         "{}",
         stats.throughput.mean
     );
+    // The exact expectation the sample mean estimates (Theorem 3.1).
+    assert!(
+        (stats.failed_exact - 1.72503926738501).abs() < 1e-9,
+        "{}",
+        stats.failed_exact
+    );
+    assert!((stats.failed_exact + stats.throughput_exact - 62.0).abs() < 1e-9);
 }
 
 #[test]
