@@ -63,7 +63,8 @@ impl ChannelParams {
     }
 
     /// Mean (and, in the deterministic model, exact) received power at
-    /// distance `d`: `P · d^{−α}`.
+    /// distance `d`: `P · d^{−α}`, computed as `P / d^α` through
+    /// [`pow_alpha`](Self::pow_alpha).
     ///
     /// # Panics
     /// Panics if `d <= 0` — the far-field path-loss law is meaningless
@@ -72,16 +73,18 @@ impl ChannelParams {
     #[inline]
     pub fn mean_gain(&self, d: f64) -> f64 {
         assert!(d > 0.0, "path loss undefined at distance {d}");
-        self.power * d.powf(-self.alpha)
+        self.power / self.pow_alpha(d)
     }
 
     /// `x^α`, with the paper's integer path-loss exponents (2, 3, 4, 6)
     /// specialized to repeated squaring. `powf` is a libm call that
-    /// prices every stored interference factor — at build time and on
-    /// every CSR mutation — and the specialization is ~20× cheaper
-    /// (within 1 ulp). Every factor producer must go through this one
-    /// helper so sparse/dense builds and in-place mutations keep
-    /// computing bit-identical values.
+    /// would price every stored interference factor — at build time and
+    /// on every CSR mutation — and every path-loss mean a slot's gain
+    /// table holds; the specialization is ~20× cheaper, at a relative
+    /// error of at most 1, 2, 3 and 5 roundings for α = 2, 3, 4, 6.
+    /// Every factor producer and [`mean_gain`](Self::mean_gain) go
+    /// through this one helper so sparse/dense builds and in-place
+    /// mutations keep computing bit-identical values.
     #[inline]
     pub fn pow_alpha(&self, x: f64) -> f64 {
         if self.alpha == 2.0 {
@@ -151,6 +154,38 @@ mod tests {
     #[should_panic(expected = "path loss undefined")]
     fn rejects_zero_distance() {
         ChannelParams::paper_defaults().mean_gain(0.0);
+    }
+
+    /// `mean_gain` is `P / pow_alpha(d)` exactly, and stays within the
+    /// rounding bound of the libm `P · d^{−α}` at the specialized
+    /// exponents: `k` roundings in `pow_alpha` (k = 1, 2, 3, 5 for
+    /// α = 2, 3, 4, 6), one in the division, ≤ 2 in `powf` (≤ 1 ulp)
+    /// and one in the product, each at most `u = ε/2` relative. In ulps
+    /// the two differ by up to 3 at α = 4 and 5 at α = 6.
+    #[test]
+    fn mean_gain_is_pinned_to_pow_alpha() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        for (alpha, k) in [(2.0, 1.0), (3.0, 2.0), (4.0, 3.0), (6.0, 5.0)] {
+            let bound = (k + 4.0) * f64::EPSILON / 2.0;
+            for power in [1.0, 0.37, 4.0] {
+                // Struct literal: `new` rejects α = 2, but `pow_alpha`
+                // still specializes it.
+                let p = ChannelParams {
+                    alpha,
+                    power,
+                    ..ChannelParams::paper_defaults()
+                };
+                for _ in 0..20_000 {
+                    let d = 10f64.powf(rng.gen_range(-1.0..4.0));
+                    let g = p.mean_gain(d);
+                    assert_eq!(g.to_bits(), (power / p.pow_alpha(d)).to_bits());
+                    let libm = power * d.powf(-alpha);
+                    let rel = ((g - libm) / libm).abs();
+                    assert!(rel <= bound, "α={alpha} P={power} d={d}: {g} vs {libm}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -148,92 +148,6 @@ pub fn exhaustive(problem: &Problem) -> Schedule {
     )
 }
 
-/// Parallel branch-and-bound: identical search to
-/// [`branch_and_bound`], but the top `spawn_depth` levels of the
-/// include/exclude tree fork into rayon tasks sharing the incumbent
-/// through an atomic bound. Deterministic result value (the optimum is
-/// unique in utility; when several optima tie, the returned *set* may
-/// differ from the sequential one).
-pub fn branch_and_bound_parallel(problem: &Problem) -> Schedule {
-    use std::sync::atomic::AtomicU64;
-    use std::sync::Mutex;
-
-    assert!(
-        problem.len() <= BNB_MAX_LINKS,
-        "branch-and-bound limited to {BNB_MAX_LINKS} links, instance has {}",
-        problem.len()
-    );
-    let links = problem.links();
-    let mut order: Vec<LinkId> = links.ids().collect();
-    order.sort_by(|&a, &b| problem.rate(b).total_cmp(&problem.rate(a)).then(a.cmp(&b)));
-    let mut suffix = vec![0.0; order.len() + 1];
-    for k in (0..order.len()).rev() {
-        suffix[k] = suffix[k + 1] + problem.rate(order[k]);
-    }
-    // The incumbent (utility, set) is updated under one mutex so the
-    // two can never disagree; the atomic copy of the utility is a
-    // lock-free *pruning bound* only (monotone, may lag the mutex by an
-    // instant, which is sound — a stale lower bound just prunes less).
-    let best_utility = AtomicU64::new(0f64.to_bits());
-    let incumbent: Mutex<(f64, Vec<LinkId>)> = Mutex::new((0.0, Vec::new()));
-
-    struct Ctx<'p> {
-        problem: &'p Problem,
-        order: Vec<LinkId>,
-        suffix: Vec<f64>,
-        budget: f64,
-        best_utility: AtomicU64,
-        incumbent: Mutex<(f64, Vec<LinkId>)>,
-        spawn_depth: usize,
-    }
-
-    fn dfs(ctx: &Ctx<'_>, k: usize, acc: &InterferenceAccumulator<'_>, utility: f64) {
-        use std::sync::atomic::Ordering;
-        if utility > f64::from_bits(ctx.best_utility.load(Ordering::Relaxed)) {
-            let mut best = ctx.incumbent.lock().expect("incumbent lock");
-            if utility > best.0 {
-                *best = (utility, acc.selected().to_vec());
-                ctx.best_utility.store(utility.to_bits(), Ordering::SeqCst);
-            }
-        }
-        let incumbent = f64::from_bits(ctx.best_utility.load(Ordering::Relaxed));
-        if k == ctx.order.len() || utility + ctx.suffix[k] <= incumbent {
-            return;
-        }
-        let id = ctx.order[k];
-        let include = || {
-            if acc.addition_is_feasible(id, ctx.budget) {
-                let mut with = acc.clone();
-                with.select(id);
-                dfs(ctx, k + 1, &with, utility + ctx.problem.rate(id));
-            }
-        };
-        let exclude = || dfs(ctx, k + 1, acc, utility);
-        if k < ctx.spawn_depth {
-            rayon::join(include, exclude);
-        } else {
-            include();
-            exclude();
-        }
-    }
-
-    let ctx = Ctx {
-        problem,
-        order,
-        suffix,
-        budget: problem.gamma_eps(),
-        best_utility,
-        incumbent,
-        // 2^6 = up to 64 concurrent subtrees — enough to saturate a
-        // workstation without flooding the scheduler.
-        spawn_depth: 6,
-    };
-    let acc = InterferenceAccumulator::new(problem);
-    dfs(&ctx, 0, &acc, 0.0);
-    let (_, set) = ctx.incumbent.into_inner().expect("incumbent lock");
-    Schedule::from_ids(set)
-}
-
 /// [`branch_and_bound`] behind the [`Scheduler`] interface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExactBnb;
@@ -362,47 +276,6 @@ mod tests {
         let p = Problem::paper(LinkSet::new(Rect::square(30_000.0), links), 3.0);
         let s = branch_and_bound(&p);
         assert_eq!(s.len(), 6);
-    }
-
-    #[test]
-    fn parallel_bnb_matches_sequential_optimum() {
-        for seed in 0..6 {
-            let p = small_problem(12, seed);
-            let seq = branch_and_bound(&p).utility(&p);
-            let par = branch_and_bound_parallel(&p).utility(&p);
-            assert!(
-                (seq - par).abs() < 1e-9,
-                "seed {seed}: sequential {seq} vs parallel {par}"
-            );
-            assert!(is_feasible(&p, &branch_and_bound_parallel(&p)));
-        }
-    }
-
-    #[test]
-    fn parallel_bnb_handles_varied_rates() {
-        let gen = UniformGenerator {
-            side: 120.0,
-            n: 13,
-            len_lo: 5.0,
-            len_hi: 20.0,
-            rates: RateModel::Uniform { lo: 0.5, hi: 3.0 },
-        };
-        for seed in 0..3 {
-            let p = Problem::paper(gen.generate(seed), 3.0);
-            assert!(
-                (branch_and_bound(&p).utility(&p) - branch_and_bound_parallel(&p).utility(&p))
-                    .abs()
-                    < 1e-9,
-                "seed {seed}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_bnb_empty_instance() {
-        let links = fading_net::LinkSet::new(fading_geom::Rect::square(1.0), vec![]);
-        let p = Problem::paper(links, 3.0);
-        assert!(branch_and_bound_parallel(&p).is_empty());
     }
 
     #[test]

@@ -140,24 +140,40 @@ pub fn is_feasible(problem: &Problem, schedule: &Schedule) -> bool {
 /// Under the dense backend the sums are exact. Under the sparse backend
 /// they accumulate *stored* factors only, so each is a lower bound with
 /// a certified envelope of `|selected| · tail_cut(j)`; every
-/// verdict-producing method resolves a straddling envelope by exact
-/// recomputation (in selection order, so the resolved sum is
-/// bit-identical to what the dense backend would have accumulated) —
-/// feasibility decisions never differ between backends.
+/// verdict-producing method resolves a straddling envelope through a
+/// per-receiver exact prefix, folded in selection order (so the resolved
+/// sum is bit-identical to what the dense backend would have
+/// accumulated) — feasibility decisions never differ between backends.
 #[derive(Debug, Clone)]
 pub struct InterferenceAccumulator<'p> {
     problem: &'p Problem,
     sums: Vec<f64>,
     selected: Vec<LinkId>,
+    /// Sparse only: the candidate's stored out-row scattered by
+    /// receiver during a check, NaN everywhere else.
+    marks: Vec<f64>,
+    /// Sparse only: `exact[j]` is the selection-order fold of
+    /// `factor(i, j)` over `selected[..upto[j]]`.
+    exact: Vec<f64>,
+    upto: Vec<usize>,
 }
 
 impl<'p> InterferenceAccumulator<'p> {
     /// Starts with an empty selection.
     pub fn new(problem: &'p Problem) -> Self {
+        let n = problem.len();
+        let m = if problem.factors().as_sparse().is_some() {
+            n
+        } else {
+            0
+        };
         Self {
             problem,
-            sums: vec![0.0; problem.len()],
+            sums: vec![0.0; n],
             selected: Vec::new(),
+            marks: vec![f64::NAN; m],
+            exact: vec![0.0; m],
+            upto: vec![0; m],
         }
     }
 
@@ -194,43 +210,83 @@ impl<'p> InterferenceAccumulator<'p> {
 
     /// The exact accumulated sum on `j`, recomputing omitted factors on
     /// demand when the backend truncates. Matches the dense
-    /// accumulation bit-for-bit (same terms, same order, same formula).
-    pub fn exact_sum_on(&self, j: LinkId) -> f64 {
+    /// accumulation bit-for-bit (same terms, same order, same formula):
+    /// the fold is cached per receiver and extended only over the
+    /// senders selected since its last resolve.
+    pub fn exact_sum_on(&mut self, j: LinkId) -> f64 {
+        let k = j.index();
         if self.problem.factors().tail_cut(j) == 0.0 {
-            return self.sums[j.index()];
+            return self.sums[k];
         }
-        let mut sum = 0.0;
-        for &i in &self.selected {
-            sum += self.problem.factor(i, j);
+        for &i in &self.selected[self.upto[k]..] {
+            self.exact[k] += self.problem.factor(i, j);
         }
-        sum
+        self.upto[k] = self.selected.len();
+        self.exact[k]
     }
 
     /// Whether adding `candidate` would keep the *entire* selection
     /// (existing members and the candidate) within `budget`. Identical
     /// verdicts under every backend.
-    pub fn addition_is_feasible(&self, candidate: LinkId, budget: f64) -> bool {
+    pub fn addition_is_feasible(&mut self, candidate: LinkId, budget: f64) -> bool {
         // Candidate's own constraint under current senders:
-        if !self.certified_check(candidate, 0.0, budget) {
+        if !self.certified_check(candidate, None, budget) {
             return false;
         }
-        // Existing members' constraints with the candidate added
-        // (factor() is exact under every backend):
-        self.selected
-            .iter()
-            .all(|&j| self.certified_check(j, self.problem.factor(candidate, j), budget))
+        // Existing members' constraints with the candidate added.
+        let problem = self.problem;
+        if let Some(row) = problem.factors().dense_row(candidate) {
+            let fits = |&j: &LinkId| within_budget(self.sums[j.index()] + row[j.index()], budget);
+            return self.selected.iter().all(fits);
+        }
+        let (recv, fact) = problem
+            .factors()
+            .as_sparse()
+            .expect("sparse backend")
+            .row_slices(candidate);
+        for (&j, &f) in recv.iter().zip(fact) {
+            self.marks[j as usize] = f;
+        }
+        let ok = (0..self.selected.len())
+            .all(|s| self.certified_check(self.selected[s], Some(candidate), budget));
+        for &j in recv {
+            self.marks[j as usize] = f64::NAN;
+        }
+        ok
     }
 
-    /// Budget check of `sum_on(j) + extra` with envelope accounting and
-    /// exact fallback.
-    fn certified_check(&self, j: LinkId, extra: f64, budget: f64) -> bool {
-        match within_budget_certified(self.sums[j.index()] + extra, self.tail_on(j), budget) {
-            Some(v) => v,
-            None => {
-                fading_obs::counter!("core.accumulator.exact_fallbacks").incr();
-                within_budget(self.exact_sum_on(j) + extra, budget)
-            }
+    /// Budget check of receiver `j`'s sum plus, with a `candidate`, its
+    /// factor onto `j`: the marked stored value, else certified to lie
+    /// in `[0, tail_cut(j))`. The base is the cached exact prefix when
+    /// current, else the stored-sum envelope. A straddle resolves the
+    /// base exactly, then computes the candidate's factor only if the
+    /// envelope still straddles.
+    fn certified_check(&mut self, j: LinkId, candidate: Option<LinkId>, budget: f64) -> bool {
+        let k = j.index();
+        let count = self.selected.len();
+        let cut = self.problem.factors().tail_cut(j);
+        let (extra, extra_tail) = match candidate {
+            Some(_) if self.marks[k].is_nan() => (0.0, cut),
+            Some(_) => (self.marks[k], 0.0),
+            None => (0.0, 0.0),
+        };
+        let (base, base_tail) = if self.upto.get(k) == Some(&count) {
+            (self.exact[k], 0.0)
+        } else {
+            (self.sums[k], self.tail_on(j))
+        };
+        if let Some(v) = within_budget_certified(base + extra, base_tail + extra_tail, budget) {
+            return v;
         }
+        fading_obs::counter!("core.accumulator.exact_fallbacks").incr();
+        let base = self.exact_sum_on(j);
+        if let Some(v) = within_budget_certified(base + extra, extra_tail, budget) {
+            return v;
+        }
+        within_budget(
+            base + candidate.map_or(0.0, |c| self.problem.factor(c, j)),
+            budget,
+        )
     }
 
     /// The selected senders, in selection order.

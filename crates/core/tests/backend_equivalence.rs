@@ -9,7 +9,7 @@
 //! densities.
 
 use fading_channel::ChannelParams;
-use fading_core::algo::{Dls, GreedyRate, Ldp, Rle};
+use fading_core::algo::{Dls, ExactBnb, GreedyRate, Ldp, LocalSearch, Rle};
 use fading_core::feasibility::{is_feasible, InterferenceAccumulator};
 use fading_core::{BackendChoice, Problem, Schedule, Scheduler, SparseConfig, SparseInterference};
 use fading_net::{LinkId, TopologyGenerator, UniformGenerator};
@@ -18,6 +18,20 @@ use proptest::prelude::*;
 const ALPHAS: [f64; 3] = [2.5, 3.0, 4.0];
 /// From barely-truncating to aggressive (R ≈ 6·d_jj at α = 3).
 const TAIL_RTOLS: [f64; 3] = [1e-3, 1e-1, 5e-1];
+/// The accumulator oracle's cuts: up to the coarsest `tail_rtol`
+/// allowed, where nearly every envelope straddles and the exact prefix
+/// cache does the deciding.
+const ORACLE_RTOLS: [f64; 4] = [1e-3, 1e-1, 5e-1, 1.0];
+
+/// The selection-order fold of exact factors onto `j` that
+/// `exact_sum_on` must reproduce bit for bit.
+fn fresh_fold(p: &Problem, selected: &[LinkId], j: LinkId) -> f64 {
+    let mut sum = 0.0;
+    for &i in selected {
+        sum += p.factor(i, j);
+    }
+    sum
+}
 
 /// A dense and a sparse build of the same instance.
 fn build_pair(
@@ -141,6 +155,75 @@ proptest! {
         }
     }
 
+    /// The incremental accumulator against full re-evaluation, on both
+    /// backends: every admission verdict equals `is_feasible` of the
+    /// selection plus the candidate, and `exact_sum_on` — called in
+    /// between selects, so each receiver's prefix cache is extended
+    /// from a different point — stays bit-identical to a fresh
+    /// selection-order fold.
+    #[test]
+    fn accumulator_matches_the_full_check_and_the_fresh_fold(
+        n in 2usize..40,
+        seed in 0u64..5_000,
+        alpha_idx in 0usize..3,
+        rtol_idx in 0usize..4,
+        powered_bit in 0usize..2,
+    ) {
+        let (dense, sparse) =
+            build_pair(n, seed, ALPHAS[alpha_idx], ORACLE_RTOLS[rtol_idx], powered_bit == 1);
+        let budget = dense.gamma_eps();
+        let mut order: Vec<LinkId> = dense.links().ids().collect();
+        order.sort_by_key(|id| (u64::from(id.0) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15 ^ seed));
+        for p in [&dense, &sparse] {
+            let mut acc = InterferenceAccumulator::new(p);
+            let mut selected = Vec::new();
+            for (step, &id) in order.iter().enumerate() {
+                let mut trial = selected.clone();
+                trial.push(id);
+                let full = is_feasible(p, &Schedule::from_ids(trial.iter().copied()));
+                prop_assert_eq!(acc.addition_is_feasible(id, budget), full, "verdict on {}", id);
+                if full {
+                    acc.select(id);
+                    selected.push(id);
+                }
+                let j = order[(step * 7) % n];
+                prop_assert_eq!(
+                    acc.exact_sum_on(j).to_bits(),
+                    fresh_fold(p, &selected, j).to_bits(),
+                    "prefix cache of {} diverged mid-selection", j
+                );
+            }
+            for j in p.links().ids() {
+                prop_assert_eq!(
+                    acc.exact_sum_on(j).to_bits(),
+                    fresh_fold(p, &selected, j).to_bits(),
+                    "prefix cache of {} diverged", j
+                );
+            }
+        }
+    }
+
+    /// The accumulator's three schedulers pick the same links on both
+    /// backends at every cut, the straddle-heavy ones included.
+    #[test]
+    fn accumulator_schedulers_agree_on_every_backend(
+        n in 2usize..14,
+        seed in 0u64..5_000,
+        alpha_idx in 0usize..3,
+        rtol_idx in 0usize..4,
+        powered_bit in 0usize..2,
+    ) {
+        let (dense, sparse) =
+            build_pair(n, seed, ALPHAS[alpha_idx], ORACLE_RTOLS[rtol_idx], powered_bit == 1);
+        let local = LocalSearch::new(GreedyRate);
+        let schedulers: [&dyn Scheduler; 3] = [&GreedyRate, &local, &ExactBnb];
+        for s in schedulers {
+            let d = s.schedule(&dense);
+            prop_assert_eq!(&d, &s.schedule(&sparse), "{} diverged", s.name());
+            prop_assert!(is_feasible(&dense, &d));
+        }
+    }
+
     /// Subset feasibility verdicts (the report path) coincide, and the
     /// sparse backend's discarded mass per receiver respects the
     /// per-factor cut: every omitted factor is individually `< τ`.
@@ -200,4 +283,15 @@ fn certified_config_is_exhaustive_on_the_paper_workload() {
     );
     assert_eq!(sparse.max_tail_cut(), 0.0);
     assert!(sparse.is_exact());
+}
+
+/// At the coarsest cut the greedy's envelopes straddle, so the exact
+/// resolve path (prefix cache, then the candidate's own factor) runs.
+#[test]
+fn coarse_cuts_resolve_straddles_exactly() {
+    let fallbacks = fading_obs::counter("core.accumulator.exact_fallbacks");
+    let before = fallbacks.value();
+    let (dense, sparse) = build_pair(120, 3, 3.0, 1.0, false);
+    assert_eq!(GreedyRate.schedule(&dense), GreedyRate.schedule(&sparse));
+    assert!(fallbacks.value() > before, "no envelope straddled");
 }

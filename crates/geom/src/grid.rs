@@ -79,23 +79,12 @@ impl GridPartition {
         GridColor(((cell.a.rem_euclid(2)) + 2 * (cell.b.rem_euclid(2))) as u8)
     }
 
-    /// Color of the square containing `p`.
-    #[inline]
-    pub fn color_at(&self, p: &Point2) -> GridColor {
-        self.color_of(self.cell_of(p))
-    }
-
     /// Lower-left corner of a square.
     pub fn cell_origin(&self, cell: CellIndex) -> Point2 {
         Point2::new(
             self.origin.x + cell.a as f64 * self.cell,
             self.origin.y + cell.b as f64 * self.cell,
         )
-    }
-
-    /// Chebyshev (cell-count) distance between two squares.
-    pub fn cell_distance(&self, a: CellIndex, b: CellIndex) -> i64 {
-        (a.a - b.a).abs().max((a.b - b.b).abs())
     }
 
     /// Lower bound on the Euclidean distance between any point of square

@@ -8,7 +8,9 @@
 //!
 //! The path-loss means depend only on the (problem, schedule) pair, so
 //! they are computed once into a [`GainTable`]: the `k×k` array of
-//! `P·d^{−α}` over the `k` scheduled links, with each member's power
+//! `P·d^{−α}` over the `k` scheduled links (`ChannelParams::mean_gain`,
+//! which prices `d^α` by repeated squaring at the paper's integer
+//! exponents rather than a libm `powf`), with each member's power
 //! scale and rate. Link `j`'s outcome depends only on column `j` of the
 //! gains, so receivers succeed independently, each with the Theorem 3.1
 //! probability (plus the noise term)
