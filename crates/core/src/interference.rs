@@ -163,16 +163,6 @@ impl InterferenceMatrix {
         }
     }
 
-    /// Calls `f(sender, factor)` for every `i ≠ receiver`.
-    pub fn for_each_in(&self, receiver: LinkId, f: &mut dyn FnMut(LinkId, f64)) {
-        let j = receiver.index();
-        for i in 0..self.n {
-            if i != j {
-                f(LinkId(i as u32), self.data[i * self.n + j]);
-            }
-        }
-    }
-
     /// Number of stored off-diagonal factors, `N·(N−1)`.
     pub fn stored_factors(&self) -> u64 {
         let n = self.n as u64;
@@ -309,8 +299,7 @@ impl InterferenceMatrix {
 ///   sparse backend recomputes unstored factors from geometry through
 ///   the same channel code path, so the value is bit-identical to the
 ///   dense entry. Scalar lookups never see truncation error.
-/// * [`for_each_out`](Self::for_each_out) /
-///   [`for_each_in`](Self::for_each_in) iterate only *stored* factors.
+/// * [`for_each_out`](Self::for_each_out) iterates only *stored* factors.
 ///   Under the dense backend that is every off-diagonal pair; under the
 ///   sparse backend every *omitted* factor is individually below
 ///   [`tail_cut`](Self::tail_cut) of its receiver, so a sum over a
@@ -381,16 +370,6 @@ impl InterferenceBackend {
         match self {
             Self::Dense(m) => m.for_each_out(sender, f),
             Self::Sparse(s) => s.for_each_out(sender, f),
-        }
-    }
-
-    /// Calls `f(sender, factor)` for every *stored* in-factor onto
-    /// `receiver` (dense: all `i ≠ receiver`).
-    #[inline]
-    pub fn for_each_in(&self, receiver: LinkId, f: &mut dyn FnMut(LinkId, f64)) {
-        match self {
-            Self::Dense(m) => m.for_each_in(receiver, f),
-            Self::Sparse(s) => s.for_each_in(receiver, f),
         }
     }
 
@@ -614,12 +593,6 @@ mod tests {
             for (j, f) in seen {
                 assert_ne!(j, i, "diagonal must be skipped");
                 assert_eq!(f, m.factor(i, j));
-            }
-            let mut inbound = vec![];
-            m.for_each_in(i, &mut |j, f| inbound.push((j, f)));
-            assert_eq!(inbound.len(), links.len() - 1);
-            for (j, f) in inbound {
-                assert_eq!(f, m.factor(j, i));
             }
         }
         assert_eq!(m.stored_factors(), 12 * 11);

@@ -474,8 +474,7 @@ impl Problem {
                 }
             }
             InterferenceBackend::Sparse(s) => {
-                s.apply_batch(removes, adds)
-                    .expect("specs are validated before commit");
+                s.apply_batch(removes, adds);
             }
         }
         self.stamp = next_stamp();

@@ -38,7 +38,7 @@ use crate::mutate::LinkSpec;
 use fading_channel::RayleighChannel;
 use fading_geom::{Point2, SpatialHash};
 use fading_math::zeta;
-use fading_net::{LinkId, LinkSet, ValidationError};
+use fading_net::{LinkId, LinkSet};
 use rayon::prelude::*;
 
 /// Truncation policy for [`SparseInterference`].
@@ -104,10 +104,9 @@ pub struct SparseInterference {
     powers: Option<Vec<f64>>,
     /// Hash over *sender* positions, for neighborhood queries.
     sender_hash: SpatialHash,
-    /// Hash over *receiver* positions, for the inverse query the row
-    /// wiring needs — which receivers' radius balls contain a given
-    /// sender. Queried at [`max_radius`](Self::max_radius), filtered by
-    /// the exact per-receiver `d² ≤ r²` predicate.
+    /// Hash over *receiver* positions, for the inverse query every
+    /// row gather makes — which receivers' radius balls contain a given
+    /// sender (see [`gather_row`](Self::gather_row)).
     receiver_hash: SpatialHash,
     /// Slack-row CSR by sender: the out-factors of sender `i` occupy
     /// `arena[row_start[i] .. row_start[i] + row_len[i]]` inside a
@@ -141,7 +140,7 @@ pub struct SparseInterference {
     /// Conservative upper bound on every entry of `radius`: exact after
     /// a build or an envelope reconcile, pushed up by appended links,
     /// never shrunk by removals (a stale-high bound only widens the
-    /// inverse query, it cannot miss a receiver).
+    /// row gather's query, it cannot miss a receiver).
     max_radius: f64,
     /// Reusable index scratch for the mutation paths (column gathers,
     /// tail-rename holders, annulus edits) — excluded from `PartialEq`,
@@ -230,85 +229,12 @@ impl SparseInterference {
             cut[j] = c;
         }
 
-        // Hash cell ≈ the typical query radius (performance only;
-        // correctness is radius-driven).
-        let mean_radius = if n == 0 {
-            1.0
-        } else {
-            radius.iter().sum::<f64>() / n as f64
-        };
-        let cell = if mean_radius.is_finite() && mean_radius > 0.0 {
-            mean_radius
-        } else {
-            1.0
-        };
+        let cell = hash_cell(&radius);
         let sender_hash = SpatialHash::build(&senders, cell);
         let receiver_hash = SpatialHash::build(&receivers, cell);
         let max_radius = radius.iter().copied().fold(0.0, f64::max);
 
-        // Gather each receiver's stored in-neighborhood, then scatter
-        // into a CSR keyed by sender.
-        let gather = |j: usize| -> Vec<(u32, f64)> {
-            let mut found = Vec::new();
-            sender_hash.for_each_in_radius(&receivers[j], radius[j], |i| {
-                if i as usize != j {
-                    let f = pair_factor(
-                        channel, &senders, &receivers, &lengths, powers, i as usize, j,
-                    );
-                    found.push((i, f));
-                }
-            });
-            found
-        };
-        let in_lists: Vec<Vec<(u32, f64)>> = if n >= PARALLEL_THRESHOLD {
-            (0..n).into_par_iter().map(gather).collect()
-        } else {
-            (0..n).map(gather).collect()
-        };
-
-        let mut degree = vec![0usize; n];
-        for list in &in_lists {
-            for &(i, _) in list {
-                degree[i as usize] += 1;
-            }
-        }
-        // Fresh rows are packed tight: extent capacity equals length.
-        let mut row_start = vec![0usize; n];
-        for i in 1..n {
-            row_start[i] = row_start[i - 1] + degree[i - 1];
-        }
-        let total = row_start.last().map_or(0, |&s| s) + degree.last().copied().unwrap_or(0);
-        let row_len: Vec<u32> = degree.iter().map(|&d| d as u32).collect();
-        let row_cap = row_len.clone();
-        let mut next = row_start.clone();
-        let mut arena_receivers = vec![0u32; total];
-        let mut arena_factors = vec![0.0f64; total];
-        // Iterating receivers in ascending order leaves every CSR row
-        // sorted by receiver id.
-        for (j, list) in in_lists.iter().enumerate() {
-            for &(i, f) in list {
-                let pos = next[i as usize];
-                arena_receivers[pos] = j as u32;
-                arena_factors[pos] = f;
-                next[i as usize] = pos + 1;
-            }
-        }
-
-        let exact = cut.iter().all(|&c| c == 0.0);
-        let pairs = (n as u64).saturating_mul(n.saturating_sub(1) as u64);
-        fading_obs::counter("core.sparse.builds").incr();
-        fading_obs::counter("core.sparse.factors_stored").add(total as u64);
-        fading_obs::counter("core.sparse.factors_pruned").add(pairs - total as u64);
-        fading_obs::gauge("core.sparse.tail_cut_max").set(cut.iter().copied().fold(0.0, f64::max));
-        let neighborhood = fading_obs::histogram(
-            "core.sparse.in_degree",
-            &[1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0],
-        );
-        for list in &in_lists {
-            neighborhood.record(list.len() as f64);
-        }
-
-        Self {
+        let mut store = Self {
             n,
             channel: *channel,
             senders,
@@ -317,21 +243,112 @@ impl SparseInterference {
             powers: powers.map(<[f64]>::to_vec),
             sender_hash,
             receiver_hash,
-            row_start,
-            row_len,
-            row_cap,
-            arena_receivers,
-            arena_factors,
+            row_start: Vec::new(),
+            row_len: Vec::new(),
+            row_cap: Vec::new(),
+            arena_receivers: Vec::new(),
+            arena_factors: Vec::new(),
             dead: 0,
+            exact: cut.iter().all(|&c| c == 0.0),
             radius,
             cut,
             tau,
             tail_rtol: config.tail_rtol,
-            exact,
             diameter,
             max_scale,
             max_radius,
             scratch: Vec::new(),
+        };
+        store.fill_rows();
+
+        let total = store.arena_receivers.len() as u64;
+        let pairs = (n as u64).saturating_mul(n.saturating_sub(1) as u64);
+        fading_obs::counter("core.sparse.builds").incr();
+        fading_obs::counter("core.sparse.factors_stored").add(total);
+        fading_obs::counter("core.sparse.factors_pruned").add(pairs - total);
+        fading_obs::gauge("core.sparse.tail_cut_max").set(store.max_tail_cut());
+        let neighborhood = fading_obs::histogram(
+            "core.sparse.in_degree",
+            &[1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0],
+        );
+        let mut in_degree = vec![0u32; n];
+        for &j in &store.arena_receivers {
+            in_degree[j as usize] += 1;
+        }
+        for d in in_degree {
+            neighborhood.record(d as f64);
+        }
+        store
+    }
+
+    /// Fills every CSR row of a fresh store through
+    /// [`gather_row`](Self::gather_row), in parallel over contiguous
+    /// sender ranges concatenated in sender order — so the packed
+    /// (`cap == len`) layout is the same for any thread count. Each
+    /// range's rows are dropped once copied, so the build never holds
+    /// two full arenas.
+    fn fill_rows(&mut self) {
+        let (this, n) = (&*self, self.n);
+        let blocks: Vec<RowBlock> = if n >= PARALLEL_THRESHOLD {
+            (0..n.div_ceil(ROW_BLOCK))
+                .into_par_iter()
+                .map(|b| RowBlock::gather(this, b * ROW_BLOCK..n.min((b + 1) * ROW_BLOCK)))
+                .collect()
+        } else {
+            vec![RowBlock::gather(this, 0..n)]
+        };
+        let total = blocks.iter().map(|b| b.receivers.len()).sum();
+        self.row_start.reserve_exact(self.n);
+        self.row_len.reserve_exact(self.n);
+        self.arena_receivers.reserve_exact(total);
+        self.arena_factors.reserve_exact(total);
+        for block in blocks {
+            let mut start = self.arena_receivers.len();
+            for &len in &block.lens {
+                self.row_start.push(start);
+                start += len as usize;
+            }
+            self.row_len.extend_from_slice(&block.lens);
+            self.arena_receivers.extend_from_slice(&block.receivers);
+            self.arena_factors.extend_from_slice(&block.factors);
+        }
+        self.row_cap = self.row_len.clone();
+    }
+
+    /// Overwrites `out` with row `i`'s receivers in ascending id order:
+    /// the `j ≠ i` whose radius ball contains sender `i`. The inverse
+    /// query, answered by the receiver hash at the conservative
+    /// `max_radius` bound and filtered with the exact `d² ≤ radius[j]²`
+    /// membership predicate. The one row gather: the build calls it for
+    /// every sender, [`wire_new_links`](Self::wire_new_links) for each
+    /// appended one.
+    fn gather_row(&self, i: usize, out: &mut Vec<u32>) {
+        let sender = self.senders[i];
+        out.clear();
+        self.receiver_hash
+            .for_each_in_radius(&sender, self.max_radius, |j| {
+                let ju = j as usize;
+                if ju != i
+                    && sender.distance_sq(&self.receivers[ju]) <= self.radius[ju] * self.radius[ju]
+                {
+                    out.push(j);
+                }
+            });
+        out.sort_unstable();
+    }
+
+    /// `f_{i,j}` from geometry — the single code path stored entries
+    /// and on-demand lookups share (and the same one the dense build
+    /// uses), so every value is bit-identical across backends.
+    #[inline]
+    fn pair_factor(&self, i: usize, j: usize) -> f64 {
+        let d_ij = self.senders[i].distance(&self.receivers[j]);
+        let d_jj = self.lengths[j];
+        match &self.powers {
+            None => self.channel.interference_factor(d_ij, d_jj),
+            Some(p) => self
+                .channel
+                .interference_factor_scaled(d_ij, d_jj, p[i], p[j]),
         }
     }
 
@@ -422,18 +439,7 @@ impl SparseInterference {
         }
         let row_cap = row_len.clone();
 
-        // The hash cell tracks the sub-instance's typical query radius
-        // (performance only; correctness is radius-driven).
-        let mean_radius = if k == 0 {
-            1.0
-        } else {
-            radius.iter().sum::<f64>() / k as f64
-        };
-        let cell = if mean_radius.is_finite() && mean_radius > 0.0 {
-            mean_radius
-        } else {
-            1.0
-        };
+        let cell = hash_cell(&radius);
         let sender_hash = SpatialHash::build(&senders, cell);
         let receiver_hash = SpatialHash::build(&receivers, cell);
         // A valid bound for the *sliced* radii; the poisoned envelope
@@ -494,15 +500,7 @@ impl SparseInterference {
         if i == j {
             return 0.0;
         }
-        pair_factor(
-            &self.channel,
-            &self.senders,
-            &self.receivers,
-            &self.lengths,
-            self.powers.as_deref(),
-            i,
-            j,
-        )
+        self.pair_factor(i, j)
     }
 
     /// Stored out-factors of `sender` (every omitted receiver `j` has
@@ -513,27 +511,6 @@ impl SparseInterference {
         for (&j, &v) in recv.iter().zip(fact) {
             f(LinkId(j), v);
         }
-    }
-
-    /// Stored in-factors onto `receiver`, recomputed on demand from the
-    /// sender hash (nothing is stored per-receiver).
-    pub fn for_each_in(&self, receiver: LinkId, f: &mut dyn FnMut(LinkId, f64)) {
-        let j = receiver.index();
-        self.sender_hash
-            .for_each_in_radius(&self.receivers[j], self.radius[j], |i| {
-                if i as usize != j {
-                    let v = pair_factor(
-                        &self.channel,
-                        &self.senders,
-                        &self.receivers,
-                        &self.lengths,
-                        self.powers.as_deref(),
-                        i as usize,
-                        j,
-                    );
-                    f(LinkId(i), v);
-                }
-            });
     }
 
     /// Certified bound on any single omitted factor onto `receiver`
@@ -665,29 +642,6 @@ impl SparseInterference {
         }
     }
 
-    /// Checks a batch of specs against the store's power discipline:
-    /// every scale must be positive finite, and a non-unit scale needs
-    /// a materialized per-link profile to extend (callers convert a
-    /// uniform store first — see
-    /// [`materialize_powers`](Self::materialize_powers)). `base` is the
-    /// dense id the first spec would take, used for error reporting.
-    fn validate_specs(&self, specs: &[LinkSpec], base: usize) -> Result<(), ValidationError> {
-        for (slot, spec) in specs.iter().enumerate() {
-            if !(spec.power_scale.is_finite() && spec.power_scale > 0.0) {
-                return Err(ValidationError::BadPowerScale {
-                    id: LinkId((base + slot) as u32),
-                    scale: spec.power_scale,
-                });
-            }
-            if self.powers.is_none() && spec.power_scale != 1.0 {
-                return Err(ValidationError::PowerProfileMismatch {
-                    scale: spec.power_scale,
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// The row/column edits of one swap-remove, with the envelope
     /// reconcile, exactness flag, and compaction deferred to the
     /// caller. Sound to chain: the membership invariant references the
@@ -763,17 +717,15 @@ impl SparseInterference {
     /// the whole transaction, however the batch is spread over the
     /// region — instead of `k` separate `O(N)` passes.
     ///
-    /// On a validation error nothing changes.
+    /// Specs arrive validated: `Problem::apply` rejects bad scales
+    /// and materializes the power profile before any non-unit scale
+    /// reaches a uniform store.
     ///
     /// # Panics
     /// Panics if `removes` is not strictly descending or out of range.
-    pub(crate) fn apply_batch(
-        &mut self,
-        removes: &[LinkId],
-        adds: &[LinkSpec],
-    ) -> Result<(), ValidationError> {
+    pub(crate) fn apply_batch(&mut self, removes: &[LinkId], adds: &[LinkSpec]) {
         if removes.is_empty() && adds.is_empty() {
-            return Ok(());
+            return;
         }
         assert!(
             removes.windows(2).all(|w| w[0] > w[1]),
@@ -782,7 +734,10 @@ impl SparseInterference {
         if let Some(&first) = removes.first() {
             assert!(first.index() < self.n, "link index out of bounds");
         }
-        self.validate_specs(adds, self.n - removes.len())?;
+        assert!(
+            self.powers.is_some() || adds.iter().all(|s| s.power_scale == 1.0),
+            "a non-unit power scale needs a materialized power profile"
+        );
         let _span = fading_obs::span!("core.sparse.apply_batch");
         for &id in removes {
             self.remove_one(id.index());
@@ -803,14 +758,7 @@ impl SparseInterference {
         self.n = n0 + adds.len();
         self.refresh_envelope();
         for t in n0..self.n {
-            let ratio = self.powers.as_ref().map_or(1.0, |p| self.max_scale / p[t]);
-            let (r, c) = truncation_for(
-                &self.channel,
-                self.lengths[t],
-                ratio,
-                self.tau,
-                self.diameter,
-            );
+            let (r, c) = self.truncation_of(t);
             self.radius.push(r);
             self.cut.push(c);
             self.max_radius = self.max_radius.max(r);
@@ -820,76 +768,43 @@ impl SparseInterference {
         }
         self.exact = self.cut.iter().all(|&c| c == 0.0);
         self.maybe_compact();
-        Ok(())
     }
 
     /// Wires rows and columns for links `n0..n`, whose geometry, radii,
     /// and cuts are already in place under the reconciled envelope.
     /// Both directions are local hash queries: the column gathers the
     /// senders inside the new receiver's radius from the sender hash,
-    /// and the row answers the inverse question — which receivers'
-    /// radius balls contain the new sender — from the receiver hash at
-    /// the conservative `max_radius` bound, filtered with the exact
-    /// `d² ≤ r²` predicate. Per-link cost is the local neighborhood
-    /// regardless of how the batch is spread over the region, which is
-    /// what keeps a slot's worth of *scattered* churn arrivals at
-    /// `O(k · degree)` instead of the `O(k · N)` per-link receiver
-    /// scans (or an `O(N)`-per-batch sweep that degenerates to visiting
-    /// every link once the batch's bounding circle covers the region).
+    /// and the row is the build's own [`gather_row`](Self::gather_row).
+    /// Per-link cost is the local neighborhood regardless of how the
+    /// batch is spread over the region, which is what keeps a slot's
+    /// worth of *scattered* churn arrivals at `O(k · degree)` instead
+    /// of the `O(k · N)` per-link receiver scans (or an
+    /// `O(N)`-per-batch sweep that degenerates to visiting every link
+    /// once the batch's bounding circle covers the region).
     fn wire_new_links(&mut self, n0: usize) {
         // One reusable scratch serves both gathers (the column drains
         // it before the row refills it), so the warm path allocates
         // nothing per batch.
-        let mut col = std::mem::take(&mut self.scratch);
+        let mut hits = std::mem::take(&mut self.scratch);
         for t in n0..self.n {
-            let (sender, receiver) = (self.senders[t], self.receivers[t]);
             // Column t: already-wired senders (old plus earlier new —
             // each enters the hash as its own wiring completes) within
             // the new receiver's radius. Receiver t is the maximum
             // stored id, so each insert lands at its row's tail.
-            col.clear();
+            hits.clear();
             self.sender_hash
-                .for_each_in_radius(&receiver, self.radius[t], |i| col.push(i));
-            for i in col.drain(..) {
-                let f = pair_factor(
-                    &self.channel,
-                    &self.senders,
-                    &self.receivers,
-                    &self.lengths,
-                    self.powers.as_deref(),
-                    i as usize,
-                    t,
-                );
+                .for_each_in_radius(&self.receivers[t], self.radius[t], |i| hits.push(i));
+            for i in hits.drain(..) {
+                let f = self.pair_factor(i as usize, t);
                 self.row_insert(i as usize, t as u32, f);
             }
-            // Row t: receivers (old plus earlier new) whose radius ball
-            // contains the new sender — the inverse query, answered by
-            // the receiver hash at the conservative `max_radius` bound
-            // and filtered with the exact `d² ≤ r²` predicate, then
-            // sorted so the CSR row invariant holds. Local, whatever
-            // the batch's spatial spread: a slot's worth of scattered
-            // churn arrivals costs `O(k · neighborhood)`, not the
-            // `O(k · N)` a per-link receiver scan would pay.
-            self.receiver_hash
-                .for_each_in_radius(&sender, self.max_radius, |j| {
-                    let ju = j as usize;
-                    if sender.distance_sq(&self.receivers[ju]) <= self.radius[ju] * self.radius[ju]
-                    {
-                        col.push(j);
-                    }
-                });
-            col.sort_unstable();
+            // Row t: the receivers wired so far (old plus earlier new)
+            // whose radius ball contains the new sender, appended at
+            // the arena tail already sorted.
+            self.gather_row(t, &mut hits);
             let lo = self.arena_receivers.len();
-            for j in col.drain(..) {
-                let f = pair_factor(
-                    &self.channel,
-                    &self.senders,
-                    &self.receivers,
-                    &self.lengths,
-                    self.powers.as_deref(),
-                    t,
-                    j as usize,
-                );
+            for j in hits.drain(..) {
+                let f = self.pair_factor(t, j as usize);
                 self.arena_receivers.push(j);
                 self.arena_factors.push(f);
             }
@@ -897,10 +812,10 @@ impl SparseInterference {
             let len = (self.arena_receivers.len() - lo) as u32;
             self.row_len.push(len);
             self.row_cap.push(len);
-            self.sender_hash.insert(sender);
-            self.receiver_hash.insert(receiver);
+            self.sender_hash.insert(self.senders[t]);
+            self.receiver_hash.insert(self.receivers[t]);
         }
-        self.scratch = col;
+        self.scratch = hits;
     }
 
     /// Truncation radius and cut of receiver `j` under the *current*
@@ -958,15 +873,7 @@ impl SparseInterference {
                 fading_obs::counter("core.sparse.reconcile_edits").add(touched.len() as u64);
                 for i in touched.drain(..) {
                     if r > old {
-                        let f = pair_factor(
-                            &self.channel,
-                            &self.senders,
-                            &self.receivers,
-                            &self.lengths,
-                            self.powers.as_deref(),
-                            i as usize,
-                            j,
-                        );
+                        let f = self.pair_factor(i as usize, j);
                         self.row_insert(i as usize, j as u32, f);
                     } else {
                         self.row_remove(i as usize, j as u32);
@@ -1072,24 +979,36 @@ impl SparseInterference {
     }
 }
 
-/// `f_{i,j}` from geometry — the single code path both the stored build
-/// and on-demand lookups share (and the same one the dense build uses),
-/// so every value is bit-identical across backends.
-#[inline]
-fn pair_factor(
-    channel: &RayleighChannel,
-    senders: &[Point2],
-    receivers: &[Point2],
-    lengths: &[f64],
-    powers: Option<&[f64]>,
-    i: usize,
-    j: usize,
-) -> f64 {
-    let d_ij = senders[i].distance(&receivers[j]);
-    let d_jj = lengths[j];
-    match powers {
-        None => channel.interference_factor(d_ij, d_jj),
-        Some(p) => channel.interference_factor_scaled(d_ij, d_jj, p[i], p[j]),
+/// Senders per parallel build block: bounds the rows held outside the
+/// arena while blocks are concatenated (performance only; the rows do
+/// not depend on it).
+const ROW_BLOCK: usize = 1024;
+
+/// One contiguous sender range's packed rows, gathered in parallel by
+/// [`SparseInterference::fill_rows`] before concatenation.
+struct RowBlock {
+    lens: Vec<u32>,
+    receivers: Vec<u32>,
+    factors: Vec<f64>,
+}
+
+impl RowBlock {
+    fn gather(store: &SparseInterference, senders: std::ops::Range<usize>) -> Self {
+        let mut block = Self {
+            lens: Vec::with_capacity(senders.len()),
+            receivers: Vec::new(),
+            factors: Vec::new(),
+        };
+        let mut hits = Vec::new();
+        for i in senders {
+            store.gather_row(i, &mut hits);
+            block.lens.push(hits.len() as u32);
+            for &j in &hits {
+                block.receivers.push(j);
+                block.factors.push(store.pair_factor(i, j as usize));
+            }
+        }
+        block
     }
 }
 
@@ -1127,6 +1046,18 @@ fn max_power_scale(powers: Option<&[f64]>) -> f64 {
         None => 1.0,
         Some([]) => 1.0,
         Some(p) => p.iter().copied().fold(f64::MIN, f64::max),
+    }
+}
+
+/// Hash cell ≈ the mean truncation radius, the typical query radius
+/// (performance only; correctness is radius-driven); `1` when that is
+/// not a positive finite number.
+fn hash_cell(radius: &[f64]) -> f64 {
+    let mean = radius.iter().sum::<f64>() / radius.len() as f64;
+    if mean.is_finite() && mean > 0.0 {
+        mean
+    } else {
+        1.0
     }
 }
 
@@ -1246,19 +1177,52 @@ mod tests {
     }
 
     #[test]
-    fn in_and_out_iteration_are_transposes() {
-        let (links, _, sparse) = paper_pair(60, 12, 0.3);
-        let n = links.len();
-        let mut from_out = vec![vec![]; n];
-        let mut from_in = vec![vec![]; n];
-        for i in links.ids() {
-            sparse.for_each_out(i, &mut |j, f| from_out[j.index()].push((i, f)));
-            sparse.for_each_in(i, &mut |j, f| from_in[i.index()].push((j, f)));
-        }
-        for j in 0..n {
-            from_out[j].sort_by_key(|&(i, _)| i);
-            from_in[j].sort_by_key(|&(i, _)| i);
-            assert_eq!(from_out[j], from_in[j], "receiver {j}");
+    fn rows_hold_exactly_the_radius_members_across_the_parallel_threshold() {
+        // O(n²) oracle for the one row gather, sequential below the
+        // threshold and parallel at and above it (the last size spans
+        // three row blocks): row i holds exactly the j ≠ i with
+        // d(s_i, r_j)² ≤ radius[j]², ascending, each factor bit-equal
+        // to the on-demand `factor(i, j)`.
+        let channel = RayleighChannel::new(ChannelParams::paper_defaults());
+        for n in [
+            PARALLEL_THRESHOLD - 1,
+            PARALLEL_THRESHOLD,
+            PARALLEL_THRESHOLD + 1,
+            2 * ROW_BLOCK + 1,
+        ] {
+            let links = UniformGenerator::paper(n).generate(12);
+            let powers: Vec<f64> = (0..n).map(|i| 0.5 + (i % 7) as f64 * 0.25).collect();
+            for profile in [None, Some(powers.as_slice())] {
+                let sparse = SparseInterference::build_with_powers(
+                    &links,
+                    &channel,
+                    profile,
+                    gamma_eps(0.01),
+                    SparseConfig { tail_rtol: 0.3 },
+                );
+                assert!(!sparse.is_exact(), "n={n}: 0.3·γ_ε must truncate");
+                for i in links.ids() {
+                    let expect: Vec<u32> = (0..n as u32)
+                        .filter(|&j| {
+                            let r = sparse.radius[j as usize];
+                            j != i.0
+                                && sparse.senders[i.index()]
+                                    .distance_sq(&sparse.receivers[j as usize])
+                                    <= r * r
+                        })
+                        .collect();
+                    let (recv, fact) = sparse.row_slices(i);
+                    assert_eq!(
+                        recv,
+                        expect.as_slice(),
+                        "n={n}, powered={}: row {i}",
+                        profile.is_some()
+                    );
+                    for (&j, &f) in recv.iter().zip(fact) {
+                        assert_eq!(f.to_bits(), sparse.factor(i, LinkId(j)).to_bits());
+                    }
+                }
+            }
         }
     }
 
@@ -1347,15 +1311,14 @@ mod tests {
             );
             for t in 60..90 {
                 let l = full.link(LinkId(t));
-                s.apply_batch(&[], &[LinkSpec::new(l.sender, l.receiver)])
-                    .unwrap();
+                s.apply_batch(&[], &[LinkSpec::new(l.sender, l.receiver)]);
                 if t % 9 == 0 || t == 89 {
                     assert_eq!(s, rebuild_of(&s), "rtol {rtol} after add {t}");
                 }
             }
             // Interleave removals (interior, tail, repeated) with adds.
             for k in [3u32, 88, 0, 40, 40] {
-                s.apply_batch(&[LinkId(k)], &[]).unwrap();
+                s.apply_batch(&[LinkId(k)], &[]);
                 assert_eq!(s, rebuild_of(&s), "rtol {rtol} after remove {k}");
             }
         }
@@ -1384,10 +1347,9 @@ mod tests {
         s.apply_batch(
             &[],
             &[LinkSpec::new(l.sender, l.receiver).with_power_scale(4.0)],
-        )
-        .unwrap();
+        );
         assert_eq!(s, rebuild_of(&s), "after high-power add");
-        s.apply_batch(&[LinkId(70)], &[]).unwrap();
+        s.apply_batch(&[LinkId(70)], &[]);
         assert_eq!(s, rebuild_of(&s), "after high-power remove");
     }
 
@@ -1407,8 +1369,7 @@ mod tests {
         let keep: Vec<LinkId> = (0..60).map(LinkId).collect();
         let mut sub = parent.restrict(&keep);
         let l = links.link(LinkId(72));
-        sub.apply_batch(&[], &[LinkSpec::new(l.sender, l.receiver)])
-            .unwrap();
+        sub.apply_batch(&[], &[LinkSpec::new(l.sender, l.receiver)]);
         assert_eq!(sub, rebuild_of(&sub));
     }
 
@@ -1419,13 +1380,12 @@ mod tests {
         let mut s =
             SparseInterference::build(&links, &channel, gamma_eps(0.01), SparseConfig::default());
         while !s.is_empty() {
-            s.apply_batch(&[LinkId((s.len() / 2) as u32)], &[]).unwrap();
+            s.apply_batch(&[LinkId((s.len() / 2) as u32)], &[]);
         }
         assert!(s.is_empty());
         for i in 0..25 {
             let l = links.link(LinkId(i));
-            s.apply_batch(&[], &[LinkSpec::new(l.sender, l.receiver)])
-                .unwrap();
+            s.apply_batch(&[], &[LinkSpec::new(l.sender, l.receiver)]);
         }
         assert_eq!(s, rebuild_of(&s));
         assert!(s.stored_factors() > 0);
@@ -1459,49 +1419,27 @@ mod tests {
                 .collect();
             let mut sequential = built.clone();
             for &k in &removes {
-                sequential.apply_batch(&[k], &[]).unwrap();
+                sequential.apply_batch(&[k], &[]);
             }
             for spec in &specs {
-                sequential
-                    .apply_batch(&[], std::slice::from_ref(spec))
-                    .unwrap();
+                sequential.apply_batch(&[], std::slice::from_ref(spec));
             }
             let mut batched = built.clone();
-            batched.apply_batch(&removes, &specs).unwrap();
+            batched.apply_batch(&removes, &specs);
             assert_eq!(batched, sequential, "rtol {rtol}");
             assert_eq!(batched, rebuild_of(&batched), "rtol {rtol} vs fresh");
         }
     }
 
     #[test]
-    fn empty_batch_is_a_no_op_and_errors_leave_the_store_untouched() {
+    fn empty_batch_is_a_no_op() {
         let links = UniformGenerator::paper(30).generate(31);
         let channel = RayleighChannel::new(ChannelParams::paper_defaults());
         let built =
             SparseInterference::build(&links, &channel, gamma_eps(0.01), SparseConfig::default());
         let mut s = built.clone();
-        s.apply_batch(&[], &[]).unwrap();
+        s.apply_batch(&[], &[]);
         assert_eq!(s, built, "empty batch must not touch the store");
-        // A non-unit power scale on a uniform store is a typed error,
-        // not a panic, and rejects the whole batch atomically.
-        let extra = UniformGenerator::paper(40).generate(32);
-        let l = extra.link(LinkId(35));
-        let bad = LinkSpec::new(l.sender, l.receiver).with_power_scale(2.0);
-        assert_eq!(
-            s.apply_batch(&[LinkId(3)], &[bad]),
-            Err(ValidationError::PowerProfileMismatch { scale: 2.0 })
-        );
-        assert!(matches!(
-            s.apply_batch(
-                &[],
-                &[LinkSpec::new(l.sender, l.receiver).with_power_scale(f64::NAN)]
-            ),
-            Err(ValidationError::BadPowerScale {
-                id: LinkId(30),
-                scale,
-            }) if scale.is_nan()
-        ));
-        assert_eq!(s, built, "rejected batches must not touch the store");
     }
 
     #[test]
@@ -1576,7 +1514,7 @@ mod tests {
         for i in 0..6 {
             let l = links.link(LinkId(i));
             let spec = LinkSpec::new(l.sender, l.receiver).with_power_scale(1.0 + i as f64 * 0.5);
-            s.apply_batch(&[], &[spec]).unwrap();
+            s.apply_batch(&[], &[spec]);
         }
         assert_eq!(s, rebuild_of(&s));
     }

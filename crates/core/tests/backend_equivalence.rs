@@ -245,19 +245,22 @@ proptest! {
             is_feasible(&sparse, &subset)
         );
         let model = sparse.factors().as_sparse().expect("sparse backend");
-        for j in dense.links().ids() {
-            let cut = model.tail_cut(j);
-            let mut stored = vec![false; n];
+        // stored[j][i]: the transpose of the sender-major out-rows.
+        let mut stored = vec![vec![false; n]; n];
+        for i in dense.links().ids() {
             let mut mismatched = None;
-            model.for_each_in(j, &mut |i: LinkId, f: f64| {
-                stored[i.index()] = true;
+            model.for_each_out(i, &mut |j: LinkId, f: f64| {
+                stored[j.index()][i.index()] = true;
                 if f.to_bits() != dense.factor(i, j).to_bits() {
-                    mismatched = Some(i);
+                    mismatched = Some(j);
                 }
             });
-            prop_assert_eq!(mismatched, None, "in-factor diverged on receiver {}", j);
+            prop_assert_eq!(mismatched, None, "out-factor of sender {} diverged", i);
+        }
+        for j in dense.links().ids() {
+            let cut = model.tail_cut(j);
             for i in dense.links().ids() {
-                if i != j && !stored[i.index()] {
+                if i != j && !stored[j.index()][i.index()] {
                     prop_assert!(
                         dense.factor(i, j) < cut,
                         "omitted f({i},{j}) = {} ≥ cut {cut}",
